@@ -1,13 +1,13 @@
-//! Size/regret trade-off curve and the exact RRR solver.
+//! Size/regret trade-off curve.
 //!
-//! One DP run with `r = s` fills every column of the matrix, so the whole
-//! Pareto frontier "best achievable rank-regret per size budget" falls out
-//! of a single sweep. The exact RRR solver ("find the minimum set with
-//! rank-regret ≤ k") follows the paper's remark that 2DRRM adapts to RRR
-//! with a binary search; for small instances the frontier route is also
-//! exposed because it answers *all* thresholds at once.
+//! The Pareto frontier "best achievable rank-regret per size budget" falls
+//! out of one prepared sweep state replayed per budget. The exact RRR
+//! solver ("find the minimum set with rank-regret ≤ k",
+//! [`Prepared2d::solve_rrr`]) follows the paper's remark that 2DRRM adapts
+//! to RRR with a binary search; the frontier route answers *all*
+//! thresholds at once.
 
-use rrm_core::{Dataset, RrmError, Solution, UtilitySpace};
+use rrm_core::{Dataset, RrmError, UtilitySpace};
 
 use crate::rrm2d::{Prepared2d, Rrm2dOptions};
 
@@ -69,33 +69,17 @@ pub fn pareto_frontier(
     Ok(out)
 }
 
-/// Exact RRR in 2D: the minimum-size set with rank-regret at most `k`,
-/// found by binary search on the output size over the exact 2DRRM solver
-/// (the extra `log n` factor the paper mentions).
-///
-/// Errors with [`RrmError::Unsupported`] when even the full candidate set
-/// misses the threshold — impossible for `k ≥ 1` since the whole
-/// (restricted) skyline achieves rank-regret 1.
-pub fn rrr_exact_2d(
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    options: Rrm2dOptions,
-) -> Result<Solution, RrmError> {
-    if k == 0 {
-        return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-    }
-    // Prepare-then-query: the binary search's probes all share one sweep
-    // cache (and the memo lets repeated probe sizes cost nothing).
-    Prepared2d::new(data, space, options)?.solve_rrr(k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rrm_core::FullSpace;
+    use rrm_core::{FullSpace, Solution};
+
+    /// Exact RRR on a fresh handle.
+    fn rrr_exact(data: &Dataset, k: usize) -> Result<Solution, RrmError> {
+        Prepared2d::new(data, &FullSpace::new(2), Rrm2dOptions::default())?.solve_rrr(k)
+    }
 
     fn random_dataset(n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -124,7 +108,7 @@ mod tests {
         let f = pareto_frontier(&d, 15, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         for k in [1usize, 2, 3, 5, 8] {
             let expected_size = f.iter().find(|p| p.regret <= k).map(|p| p.r);
-            let sol = rrr_exact_2d(&d, k, &FullSpace::new(2), Rrm2dOptions::default());
+            let sol = rrr_exact(&d, k);
             match expected_size {
                 Some(sz) => {
                     let sol = sol.unwrap();
@@ -144,7 +128,7 @@ mod tests {
     #[test]
     fn rrr_threshold_one_returns_skyline_size() {
         let d = random_dataset(60, 4);
-        let sol = rrr_exact_2d(&d, 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = rrr_exact(&d, 1).unwrap();
         let sky = rrm_skyline::skyline(&d);
         // Rank-regret 1 requires containing the top-1 for every direction:
         // exactly the set of tuples that are top-1 somewhere (the convex
@@ -156,6 +140,6 @@ mod tests {
     #[test]
     fn rrr_rejects_zero_threshold() {
         let d = random_dataset(10, 5);
-        assert!(rrr_exact_2d(&d, 0, &FullSpace::new(2), Rrm2dOptions::default()).is_err());
+        assert!(rrr_exact(&d, 0).is_err());
     }
 }

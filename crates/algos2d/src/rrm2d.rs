@@ -16,7 +16,7 @@
 //! replays exactly those `O(s·n)` crossings from a pre-sorted stream
 //! ([`rrm_geom::events`]). Set [`Rrm2dOptions::use_full_sweep`] to run the
 //! paper's original full-arrangement sweep instead (identical output;
-//! compared in the `ablation_sweep` benchmark).
+//! compared by `repro ablation`).
 //!
 //! # Degeneracies
 //!
@@ -31,21 +31,21 @@ use std::sync::Mutex;
 
 use rrm_core::{Algorithm, AppliedUpdate, Dataset, ExecPolicy, RrmError, Solution, UtilitySpace};
 use rrm_geom::dual::{cmp_at, normalized_interval_2d, DualLine};
-use rrm_geom::events::{
-    crossing_of_pair, crossings_with_tracked_capped_par, initial_ranks, stream_crossings,
-};
+use rrm_geom::events::{crossing_of_pair, crossings_with_tracked_capped_par, stream_crossings};
 use rrm_geom::sweep::arrangement_sweep;
 use rrm_geom::Crossing;
-use rrm_skyline::restricted::{u_skyline_2d, u_transform_2d};
+use rrm_skyline::restricted::u_transform_2d;
 use rrm_skyline::IncrementalSkyline;
 
 use crate::matrix::DpMatrix;
 
-/// Tuning knobs for [`rrm_2d`].
+/// Tuning knobs for [`Prepared2d`].
 #[derive(Debug, Clone, Copy)]
 pub struct Rrm2dOptions {
     /// Run the paper-faithful full arrangement sweep instead of the
-    /// skyline-crossing event stream. Same output, more events.
+    /// skyline-crossing event stream. Same output, more events: the
+    /// prepared handle then materializes no stream and replays the whole
+    /// arrangement on every query.
     pub use_full_sweep: bool,
     /// Upper bound on crossings materialized at once by the event stream.
     pub chunk_target: usize,
@@ -78,58 +78,6 @@ pub fn weight_interval(space: &dyn UtilitySpace) -> Result<(f64, f64), RrmError>
         .ok_or_else(|| RrmError::InvalidSpace("the 2D cone contains no direction".into()))
 }
 
-/// Work counters from one 2DRRM run (the quantities behind Theorem 5's
-/// cost analysis and the `ablation_sweep` benchmark).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepStats {
-    /// Candidate (restricted-skyline, deduplicated) lines `s`.
-    pub candidates: usize,
-    /// Crossings replayed (the `O(s·n)` event stream; `O(n²)` with the
-    /// paper-faithful full sweep).
-    pub events: usize,
-    /// Events where a candidate's rank increased (the paper's case 1 —
-    /// each costs an `O(r)` matrix fold).
-    pub case1_events: usize,
-    /// Chain extension opportunities (crossings of two candidate lines,
-    /// Algorithm 1 lines 17–19).
-    pub extensions: usize,
-}
-
-/// Solve RRM (`space = L`) or RRRM (restricted `space`) exactly in 2D.
-pub fn rrm_2d(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    options: Rrm2dOptions,
-) -> Result<Solution, RrmError> {
-    let (c0, c1) = weight_interval(space)?;
-    rrm_2d_on_interval(data, r, c0, c1, options)
-}
-
-/// [`rrm_2d`] with work counters.
-pub fn rrm_2d_with_stats(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    options: Rrm2dOptions,
-) -> Result<(Solution, SweepStats), RrmError> {
-    let (c0, c1) = weight_interval(space)?;
-    let mut stats = SweepStats::default();
-    let sol = rrm_2d_impl(data, r, c0, c1, options, Some(&mut stats))?;
-    Ok((sol, stats))
-}
-
-/// Solve the 2D problem for utility directions `(c, 1-c)`, `c ∈ [c0, c1]`.
-pub fn rrm_2d_on_interval(
-    data: &Dataset,
-    r: usize,
-    c0: f64,
-    c1: f64,
-    options: Rrm2dOptions,
-) -> Result<Solution, RrmError> {
-    rrm_2d_impl(data, r, c0, c1, options, None)
-}
-
 /// Deduplicate identical dual lines among candidates (exact duplicate
 /// tuples share one dual line; a convex chain uses strictly increasing
 /// slopes, so at most one copy could ever appear in a solution), then sort
@@ -155,7 +103,7 @@ fn dedup_candidates(lines: &[DualLine], candidates: &[u32]) -> Vec<u32> {
 }
 
 /// 1-based ranks from a sorted id order (the inverse permutation
-/// [`initial_ranks`] builds after sorting).
+/// [`rrm_geom::events::initial_ranks`] builds after sorting).
 fn ranks_of_order(order: &[u32]) -> Vec<usize> {
     let mut rank = vec![0usize; order.len()];
     for (pos, &id) in order.iter().enumerate() {
@@ -203,8 +151,7 @@ fn dp_run(
     sky: &[u32],
     init_ranks: &[usize],
     r: usize,
-    for_each: impl FnOnce(&mut dyn FnMut(f64, u32, u32)),
-    stats: Option<&mut SweepStats>,
+    for_each: impl FnOnce(&mut dyn FnMut(u32, u32)),
 ) -> Result<Solution, RrmError> {
     // Row lookup: line id -> skyline row (usize::MAX = not a skyline line).
     let mut row_of = vec![usize::MAX; lines.len()];
@@ -218,18 +165,13 @@ fn dp_run(
 
     // Event replay: at each crossing the `down` line's rank increases.
     // `extend` must see `M[i_down, h-1]` pre-fold, hence extend-then-fold.
-    let mut counters = SweepStats::default();
-    let mut apply = |x: f64, down: u32, up: u32| {
-        let _ = x;
-        counters.events += 1;
+    let mut apply = |down: u32, up: u32| {
         rank[down as usize] += 1;
         rank[up as usize] -= 1;
         let i_down = row_of[down as usize];
         if i_down != usize::MAX {
-            counters.case1_events += 1;
             let j_up = row_of[up as usize];
             if j_up != usize::MAX {
-                counters.extensions += 1;
                 m.extend(i_down, j_up, up);
             }
             m.fold_rank(i_down, rank[down as usize]);
@@ -239,78 +181,22 @@ fn dp_run(
 
     let (best_row, best_rank) = m.best_final();
     let chain = m.chain_lines(best_row, r);
-    if let Some(st) = stats {
-        counters.candidates = sky.len();
-        *st = counters;
-    }
     Solution::new(chain, Some(best_rank as usize), Algorithm::TwoDRrm, data)
 }
 
-fn rrm_2d_impl(
-    data: &Dataset,
-    r: usize,
-    c0: f64,
-    c1: f64,
-    options: Rrm2dOptions,
-    mut stats: Option<&mut SweepStats>,
-) -> Result<Solution, RrmError> {
-    if data.dim() != 2 {
-        return Err(RrmError::DimensionMismatch { expected: 2, got: data.dim() });
-    }
-    if r == 0 {
-        return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
-    }
-    assert!(c0 <= c1, "empty weight interval");
-
-    // Theorem 3: candidates are the (restricted) skyline.
-    let candidates = u_skyline_2d(data, c0, c1);
-    let lines = DualLine::from_dataset(data);
-    let sky = dedup_candidates(&lines, &candidates);
-    let s = sky.len();
-
-    if let Some(st) = stats.as_deref_mut() {
-        st.candidates = s;
-    }
-
-    // The whole candidate set has rank-regret 1 (the top-1 for any u in the
-    // space is never U-dominated, hence a candidate).
-    if s <= r {
-        return Solution::new(sky, Some(1), Algorithm::TwoDRrm, data);
-    }
-
-    let all_ranks = initial_ranks(&lines, c0);
-    dp_run(
-        data,
-        &lines,
-        &sky,
-        &all_ranks,
-        r,
-        |apply| {
-            if options.use_full_sweep {
-                arrangement_sweep(&lines, c0, c1, |x, down, up, _| apply(x, down, up));
-            } else {
-                stream_crossings(&lines, &sky, c0, c1, options.chunk_target, |c| {
-                    apply(c.x, c.down, c.up)
-                });
-            }
-        },
-        stats,
-    )
-}
-
-/// [`rrm_2d`] bound to one dataset and utility space: the prepare-once /
-/// query-many form of the exact 2D solver.
+/// **2DRRM** bound to one dataset and utility space: the exact 2D solver
+/// for RRM (`space = L`) and RRRM (restricted `space`), prepared once and
+/// queried many times.
 ///
 /// Preparation renders the space onto its weight interval, computes the
 /// restricted skyline, the dual lines and the initial ranks, and — when
-/// they fit the [`Rrm2dOptions::chunk_target`] memory budget — materializes
-/// the sorted crossing stream, so each query is one DP replay instead of a
-/// full sweep reconstruction. Solutions are memoized per `r`, which also
-/// makes the exact-RRR binary search ([`Prepared2d::solve_rrr`]) and the
-/// Pareto frontier ([`crate::pareto_frontier`]) share probe work.
-///
-/// Every query returns exactly what the one-shot [`rrm_2d`] /
-/// [`crate::rrr_exact_2d`] would return for the same inputs.
+/// they fit the [`Rrm2dOptions::chunk_target`] memory budget and
+/// [`Rrm2dOptions::use_full_sweep`] is off — materializes the sorted
+/// crossing stream, so each query is one DP replay instead of a full sweep
+/// reconstruction. Solutions are memoized per effective `r` (budgets at or
+/// past the candidate count share one entry), which also makes the
+/// exact-RRR binary search ([`Prepared2d::solve_rrr`]) and the Pareto
+/// frontier ([`crate::pareto_frontier`]) share probe work.
 pub struct Prepared2d {
     data: Dataset,
     options: Rrm2dOptions,
@@ -318,14 +204,13 @@ pub struct Prepared2d {
     c1: f64,
     /// Deduplicated candidates in ascending slope order (the DP rows).
     sky: Vec<u32>,
-    /// Pre-dedup candidate count: the RRR binary search's upper bound
-    /// (kept separate so the search probes the same sizes as the one-shot
-    /// [`crate::rrr_exact_2d`]).
+    /// Pre-dedup candidate count: the RRR binary search's upper bound.
     sky_total: usize,
     lines: Vec<DualLine>,
     init_ranks: Vec<usize>,
     /// Materialized crossings, `None` when they exceed the chunk budget
-    /// (the DP then streams per query: slower, but memory stays bounded).
+    /// (the DP then streams per query: slower, but memory stays bounded)
+    /// or when the full arrangement sweep is selected.
     events: Option<Vec<Crossing>>,
     /// Incrementally maintained restricted skyline over the
     /// extreme-direction transform of the data (its skyline *is* the
@@ -356,15 +241,20 @@ impl Prepared2d {
         let init_ranks = ranks_of_order(&order0);
         // Parallel classification: chunked per tracked line, merged by a
         // deterministic total order — bit-identical to the sequential
-        // enumeration (see rrm_geom::events).
-        let events = crossings_with_tracked_capped_par(
-            &lines,
-            &sky,
-            c0,
-            c1,
-            options.chunk_target,
-            options.exec.parallelism,
-        );
+        // enumeration (see rrm_geom::events). The full sweep replays the
+        // arrangement itself, so it needs no stream.
+        let events = if options.use_full_sweep {
+            None
+        } else {
+            crossings_with_tracked_capped_par(
+                &lines,
+                &sky,
+                c0,
+                c1,
+                options.chunk_target,
+                options.exec.parallelism,
+            )
+        };
         Ok(Self {
             data: data.clone(),
             options,
@@ -536,20 +426,22 @@ impl Prepared2d {
     /// One DP replay for size budget `r` against the cached sweep state,
     /// bypassing the memo (the unit of work of the parallel memo fill).
     fn compute_rrm(&self, r: usize) -> Result<Solution, RrmError> {
+        // The whole candidate set has rank-regret 1 (the top-1 for any u
+        // in the space is never U-dominated, hence a candidate).
         if self.sky.len() <= r {
             return Solution::new(self.sky.clone(), Some(1), Algorithm::TwoDRrm, &self.data);
         }
-        dp_run(
-            &self.data,
-            &self.lines,
-            &self.sky,
-            &self.init_ranks,
-            r,
-            |apply| match &self.events {
+        dp_run(&self.data, &self.lines, &self.sky, &self.init_ranks, r, |apply| {
+            match &self.events {
                 Some(events) => {
                     for c in events {
-                        apply(c.x, c.down, c.up);
+                        apply(c.down, c.up);
                     }
+                }
+                None if self.options.use_full_sweep => {
+                    arrangement_sweep(&self.lines, self.c0, self.c1, |_, down, up, _| {
+                        apply(down, up)
+                    });
                 }
                 None => stream_crossings(
                     &self.lines,
@@ -557,11 +449,17 @@ impl Prepared2d {
                     self.c0,
                     self.c1,
                     self.options.chunk_target,
-                    |c| apply(c.x, c.down, c.up),
+                    |c| apply(c.down, c.up),
                 ),
-            },
-            None,
-        )
+            }
+        })
+    }
+
+    /// Memo key for a size budget: every `r` at or past the candidate
+    /// count answers with the whole candidate set, so they share one
+    /// entry and the memo never holds more than `s` solutions.
+    fn memo_key(&self, r: usize) -> usize {
+        r.min(self.sky.len())
     }
 
     /// Exact RRM for one size budget, replaying the cached sweep.
@@ -569,11 +467,12 @@ impl Prepared2d {
         if r == 0 {
             return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
         }
-        if let Some(sol) = self.memo.lock().expect("2D memo poisoned").get(&r) {
+        let key = self.memo_key(r);
+        if let Some(sol) = self.memo.lock().expect("2D memo poisoned").get(&key) {
             return Ok(sol.clone());
         }
-        let sol = self.compute_rrm(r)?;
-        self.memo.lock().expect("2D memo poisoned").insert(r, sol.clone());
+        let sol = self.compute_rrm(key)?;
+        self.memo.lock().expect("2D memo poisoned").insert(key, sol.clone());
         Ok(sol)
     }
 
@@ -591,7 +490,7 @@ impl Prepared2d {
         let missing: Vec<usize> = {
             let memo = self.memo.lock().expect("2D memo poisoned");
             let mut missing: Vec<usize> =
-                rs.iter().copied().filter(|r| !memo.contains_key(r)).collect();
+                rs.iter().map(|&r| self.memo_key(r)).filter(|r| !memo.contains_key(r)).collect();
             missing.sort_unstable();
             missing.dedup();
             missing
@@ -613,9 +512,9 @@ impl Prepared2d {
         rs.iter().map(|&r| self.solve_rrm(r)).collect()
     }
 
-    /// Exact RRR: binary search on the output size over [`Self::solve_rrm`]
-    /// (the same search as [`crate::rrr_exact_2d`], with every probe
-    /// memoized).
+    /// Exact RRR: the minimum-size set with rank-regret at most `k`, found
+    /// by binary search on the output size over [`Self::solve_rrm`] (the
+    /// extra `log n` factor the paper mentions), with every probe memoized.
     pub fn solve_rrr(&self, k: usize) -> Result<Solution, RrmError> {
         if k == 0 {
             return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
@@ -642,6 +541,16 @@ mod tests {
     use super::*;
     use rrm_core::{FullSpace, WeakRankingSpace};
 
+    /// One exact solve on a fresh handle.
+    fn solve(
+        data: &Dataset,
+        r: usize,
+        space: &dyn UtilitySpace,
+        options: Rrm2dOptions,
+    ) -> Result<Solution, RrmError> {
+        Prepared2d::new(data, space, options)?.solve_rrm(r)
+    }
+
     fn table1() -> Dataset {
         Dataset::from_rows(&[
             [0.0, 1.0],
@@ -659,7 +568,7 @@ mod tests {
     fn table1_r1_returns_t3() {
         // The paper: "When r = 1, the solutions for RRM and RMS are {t3}
         // and {t4} respectively."
-        let sol = rrm_2d(&table1(), 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&table1(), 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         assert_eq!(sol.indices, vec![2], "expected {{t3}}");
         assert_eq!(sol.certified_regret, Some(3), "Table I rank-ratio of t3");
         assert_eq!(sol.algorithm, Algorithm::TwoDRrm);
@@ -669,7 +578,7 @@ mod tests {
     fn table1_shift_invariance() {
         // Figure 2's shift: +4 on A2. The RRM solution stays {t3}.
         let shifted = table1().shift(&[0.0, 4.0]);
-        let sol = rrm_2d(&shifted, 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&shifted, 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         assert_eq!(sol.indices, vec![2]);
         assert_eq!(sol.certified_regret, Some(3));
     }
@@ -678,7 +587,7 @@ mod tests {
     fn table2_subset_r2() {
         // D = {t1, t2, t3}, r = 2 -> optimal rank-regret 2, {t1,t2} or {t1,t3}.
         let d = Dataset::from_rows(&[[0.0, 1.0], [0.4, 0.95], [0.57, 0.75]]).unwrap();
-        let sol = rrm_2d(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         assert_eq!(sol.certified_regret, Some(2));
         assert!(sol.indices == vec![0, 1] || sol.indices == vec![0, 2], "{:?}", sol.indices);
     }
@@ -688,7 +597,7 @@ mod tests {
         let d = table1();
         // Skyline has 5 tuples; with r = 5 the answer is the skyline with
         // rank-regret 1.
-        let sol = rrm_2d(&d, 5, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&d, 5, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         assert_eq!(sol.indices, vec![0, 1, 2, 3, 6]);
         assert_eq!(sol.certified_regret, Some(1));
     }
@@ -704,8 +613,8 @@ mod tests {
                 (0..n).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
             let d = Dataset::from_rows(&rows).unwrap();
             for r in 1..4 {
-                let a = rrm_2d(&d, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-                let b = rrm_2d(
+                let a = solve(&d, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+                let b = solve(
                     &d,
                     r,
                     &FullSpace::new(2),
@@ -725,8 +634,8 @@ mod tests {
         let rows: Vec<[f64; 2]> =
             (0..30).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let d = Dataset::from_rows(&rows).unwrap();
-        let a = rrm_2d(&d, 3, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-        let b = rrm_2d(
+        let a = solve(&d, 3, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let b = solve(
             &d,
             3,
             &FullSpace::new(2),
@@ -747,9 +656,9 @@ mod tests {
         let rows: Vec<[f64; 2]> =
             (0..200).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let d = Dataset::from_rows(&rows).unwrap();
-        let full = rrm_2d(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let full = solve(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         let restricted =
-            rrm_2d(&d, 2, &WeakRankingSpace::new(2, 1), Rrm2dOptions::default()).unwrap();
+            solve(&d, 2, &WeakRankingSpace::new(2, 1), Rrm2dOptions::default()).unwrap();
         assert!(
             restricted.certified_regret.unwrap() <= full.certified_regret.unwrap(),
             "restricted {restricted:?} vs full {full:?}"
@@ -759,7 +668,7 @@ mod tests {
     #[test]
     fn duplicates_are_deduplicated() {
         let d = Dataset::from_rows(&[[0.9, 0.1], [0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]).unwrap();
-        let sol = rrm_2d(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         // Never both copies of the duplicate.
         assert!(!(sol.indices.contains(&0) && sol.indices.contains(&1)));
     }
@@ -767,7 +676,7 @@ mod tests {
     #[test]
     fn r_zero_rejected() {
         assert!(matches!(
-            rrm_2d(&table1(), 0, &FullSpace::new(2), Rrm2dOptions::default()),
+            solve(&table1(), 0, &FullSpace::new(2), Rrm2dOptions::default()),
             Err(RrmError::OutputSizeTooSmall { .. })
         ));
     }
@@ -776,52 +685,56 @@ mod tests {
     fn wrong_dimension_rejected() {
         let d = Dataset::from_rows(&[[0.1, 0.2, 0.3]]).unwrap();
         assert!(matches!(
-            rrm_2d(&d, 1, &FullSpace::new(3), Rrm2dOptions::default()),
+            solve(&d, 1, &FullSpace::new(3), Rrm2dOptions::default()),
             Err(RrmError::DimensionMismatch { .. })
         ));
     }
 
     #[test]
-    fn stats_counters_make_sense() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // Anti-correlated points (near the x + y = 1 line): the skyline is
-        // large for any RNG stream, so the sweep must actually run (the
-        // `skyline <= r` early-return would zero every counter).
-        let mut rng = StdRng::seed_from_u64(7);
-        let rows: Vec<[f64; 2]> = (0..150)
-            .map(|_| {
-                let t = rng.random::<f64>();
-                [t, 1.0 - t + 0.05 * rng.random::<f64>()]
-            })
-            .collect();
-        let d = Dataset::from_rows(&rows).unwrap();
-        let (sol, stats) =
-            rrm_2d_with_stats(&d, 3, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-        assert!(sol.certified_regret.is_some());
-        assert!(stats.candidates > 3, "need more candidates than r for a real sweep");
-        // Event-count sanity: events <= candidates * n; the case-1 subset
-        // is non-empty (every candidate pair crosses) and extensions are a
-        // subset of case-1 events.
-        assert!(stats.events <= stats.candidates * d.n());
-        assert!(stats.case1_events >= 1 && stats.case1_events <= stats.events);
-        assert!(stats.extensions <= stats.case1_events);
-        // Full sweep visits at least as many events (all pairs, not just
-        // candidate-involved ones).
-        let (_, full) = rrm_2d_with_stats(
+    fn full_sweep_handle_materializes_no_events() {
+        // Answer equality cannot show which path ran; the handle's state
+        // can. The full sweep replays the arrangement per query, so it
+        // must not build the tracked stream.
+        let d = table1();
+        let full = Prepared2d::new(
             &d,
-            3,
             &FullSpace::new(2),
             Rrm2dOptions { use_full_sweep: true, ..Default::default() },
         )
         .unwrap();
-        assert!(full.events >= stats.events, "full {} < stream {}", full.events, stats.events);
-        assert_eq!(full.case1_events, stats.case1_events);
-        assert_eq!(full.extensions, stats.extensions);
+        assert!(full.events.is_none(), "full-sweep handle materialized the event stream");
+        let stream = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        assert!(stream.events.is_some());
+        for r in 1..4 {
+            assert_eq!(full.solve_rrm(r).unwrap(), stream.solve_rrm(r).unwrap(), "r={r}");
+        }
     }
 
     #[test]
-    fn prepared_replay_equals_one_shot() {
+    fn memo_stays_bounded_under_distinct_budgets() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(14);
+        let rows: Vec<[f64; 2]> =
+            (0..60).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
+        let d = Dataset::from_rows(&rows).unwrap();
+        let prepared = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let s = prepared.candidates();
+        // A client streaming distinct budgets far past the candidate count.
+        for r in 1..=400 {
+            let sol = prepared.solve_rrm(r).unwrap();
+            if r >= s || r % 37 == 0 {
+                assert_eq!(sol, solve(&d, r, &FullSpace::new(2), Default::default()).unwrap());
+            }
+        }
+        assert_eq!(prepared.memo.lock().unwrap().len(), s, "memo must hold one entry per r <= s");
+        let many = prepared.solve_rrm_many(&[500, 1000, 2]).unwrap();
+        assert_eq!(many[0], many[1]);
+        assert_eq!(prepared.memo.lock().unwrap().len(), s);
+    }
+
+    #[test]
+    fn warm_handle_equals_fresh_handles() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
@@ -834,10 +747,10 @@ mod tests {
         ] {
             let prepared = Prepared2d::new(&d, space.as_ref(), Rrm2dOptions::default()).unwrap();
             for r in 1..=6 {
-                let one_shot = rrm_2d(&d, r, space.as_ref(), Rrm2dOptions::default()).unwrap();
-                assert_eq!(prepared.solve_rrm(r).unwrap(), one_shot, "r={r}");
+                let fresh = solve(&d, r, space.as_ref(), Rrm2dOptions::default()).unwrap();
+                assert_eq!(prepared.solve_rrm(r).unwrap(), fresh, "r={r}");
                 // Memoized second ask: still identical.
-                assert_eq!(prepared.solve_rrm(r).unwrap(), one_shot, "r={r} (memo)");
+                assert_eq!(prepared.solve_rrm(r).unwrap(), fresh, "r={r} (memo)");
             }
         }
     }
@@ -864,7 +777,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_rrr_matches_exact_search() {
+    fn warm_rrr_matches_fresh_handles() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(13);
@@ -873,10 +786,11 @@ mod tests {
         let d = Dataset::from_rows(&rows).unwrap();
         let prepared = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         for k in [1usize, 2, 4, 7] {
-            let one_shot =
-                crate::pareto::rrr_exact_2d(&d, k, &FullSpace::new(2), Rrm2dOptions::default())
-                    .unwrap();
-            assert_eq!(prepared.solve_rrr(k).unwrap(), one_shot, "k={k}");
+            let fresh = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default())
+                .unwrap()
+                .solve_rrr(k)
+                .unwrap();
+            assert_eq!(prepared.solve_rrr(k).unwrap(), fresh, "k={k}");
         }
         assert!(prepared.solve_rrr(0).is_err());
         assert!(prepared.solve_rrm(0).is_err());
@@ -988,7 +902,7 @@ mod tests {
         let d = Dataset::from_rows(&rows).unwrap();
         let mut prev = usize::MAX;
         for r in 1..=6 {
-            let sol = rrm_2d(&d, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+            let sol = solve(&d, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
             let k = sol.certified_regret.unwrap();
             assert!(k <= prev, "regret must not increase with r");
             assert!(sol.size() <= r);

@@ -111,8 +111,6 @@ impl SweepCache {
 /// cache (candidates, sorted crossings, initial ranks) is built once, and
 /// per-threshold covers are memoized, so repeated queries — and the RRM
 /// adaptation's whole binary search — replay cached state.
-///
-/// Queries return exactly what [`rrr_2d`] / [`rrm_via_rrr_2d`] return.
 pub struct PreparedRrr2d {
     data: Dataset,
     cache: SweepCache,
@@ -147,7 +145,11 @@ impl PreparedRrr2d {
         &self.data
     }
 
+    /// The memoized cover for threshold `k`. Every `k ≥ n` puts each
+    /// candidate's window over the whole range, so those thresholds share
+    /// one entry and the memo never holds more than `n` covers.
     fn cover(&self, k: usize) -> Option<Vec<u32>> {
+        let k = k.min(self.data.n());
         if let Some(cover) = self.covers.lock().expect("cover memo poisoned").get(&k) {
             return cover.clone();
         }
@@ -157,7 +159,9 @@ impl PreparedRrr2d {
         self.covers.lock().expect("cover memo poisoned").entry(k).or_insert(cover).clone()
     }
 
-    /// RRR for one threshold (identical to [`rrr_2d`]).
+    /// RRR baseline for one threshold: a set of size at most the optimal
+    /// rank-k representative's size, with certified rank-regret at most
+    /// `2k − 1`.
     pub fn solve_rrr(&self, k: usize) -> Result<Solution, RrmError> {
         if k == 0 {
             return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
@@ -168,8 +172,9 @@ impl PreparedRrr2d {
         Solution::new(ids, Some((2 * k).saturating_sub(1)), Algorithm::TwoDRrr, &self.data)
     }
 
-    /// RRM via the smallest feasible threshold (identical to
-    /// [`rrm_via_rrr_2d`], with every probed cover memoized).
+    /// RRM via the 2DRRR baseline: the smallest `k` whose interval cover
+    /// fits in `r` tuples (doubling then binary search, as the paper
+    /// benchmarks it), with every probed cover memoized.
     pub fn solve_rrm(&self, r: usize) -> Result<Solution, RrmError> {
         if r == 0 {
             return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
@@ -215,69 +220,6 @@ impl PreparedRrr2d {
     }
 }
 
-/// RRR baseline: a set of size at most the optimal rank-k representative's
-/// size, with certified rank-regret at most `2k − 1`.
-pub fn rrr_2d(data: &Dataset, k: usize, space: &dyn UtilitySpace) -> Result<Solution, RrmError> {
-    rrr_2d_with_exec(data, k, space, ExecPolicy::default())
-}
-
-/// [`rrr_2d`] under an explicit execution policy (the solver path;
-/// answers are identical at any thread count).
-pub fn rrr_2d_with_exec(
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    exec: ExecPolicy,
-) -> Result<Solution, RrmError> {
-    if k == 0 {
-        return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-    }
-    PreparedRrr2d::new_with_exec(data, space, exec)?.solve_rrr(k)
-}
-
-/// [`rrr_2d`] over an explicit weight interval.
-pub fn rrr_2d_on_interval(
-    data: &Dataset,
-    k: usize,
-    c0: f64,
-    c1: f64,
-) -> Result<Solution, RrmError> {
-    if data.dim() != 2 {
-        return Err(RrmError::DimensionMismatch { expected: 2, got: data.dim() });
-    }
-    if k == 0 {
-        return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-    }
-    let cache = SweepCache::build(data, c0, c1, ExecPolicy::default());
-    let ids = cache
-        .cover(k)
-        .expect("rank-k windows always cover the range (the top-1 line is in every window set)");
-    Solution::new(ids, Some((2 * k).saturating_sub(1)), Algorithm::TwoDRrr, data)
-}
-
-/// RRM via the 2DRRR baseline: the smallest `k` whose interval cover fits
-/// in `r` tuples (doubling then binary search, as the paper benchmarks it).
-pub fn rrm_via_rrr_2d(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-) -> Result<Solution, RrmError> {
-    rrm_via_rrr_2d_with_exec(data, r, space, ExecPolicy::default())
-}
-
-/// [`rrm_via_rrr_2d`] under an explicit execution policy.
-pub fn rrm_via_rrr_2d_with_exec(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    exec: ExecPolicy,
-) -> Result<Solution, RrmError> {
-    if r == 0 {
-        return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
-    }
-    PreparedRrr2d::new_with_exec(data, space, exec)?.solve_rrm(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,7 +228,11 @@ mod tests {
     use rrm_core::FullSpace;
     use rrm_geom::events::crossings_with_tracked;
 
-    use crate::rrm2d::{rrm_2d, Rrm2dOptions};
+    use crate::rrm2d::{Prepared2d, Rrm2dOptions};
+
+    fn rrr_2d(data: &Dataset, k: usize) -> Result<Solution, RrmError> {
+        PreparedRrr2d::new(data, &FullSpace::new(2))?.solve_rrr(k)
+    }
 
     fn random_dataset(n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -322,7 +268,7 @@ mod tests {
         for seed in 0..15 {
             let d = random_dataset(40, seed);
             for k in [1usize, 2, 3] {
-                let sol = rrr_2d(&d, k, &FullSpace::new(2)).unwrap();
+                let sol = rrr_2d(&d, k).unwrap();
                 let regret = exact_regret(&d, &sol.indices);
                 assert!(regret < 2 * k, "seed {seed} k={k}: regret {regret} > {}", 2 * k - 1);
             }
@@ -336,10 +282,11 @@ mod tests {
         for seed in 20..30 {
             let d = random_dataset(30, seed);
             for k in [1usize, 2, 3] {
-                let approx = rrr_2d(&d, k, &FullSpace::new(2)).unwrap();
-                let exact =
-                    crate::pareto::rrr_exact_2d(&d, k, &FullSpace::new(2), Rrm2dOptions::default())
-                        .unwrap();
+                let approx = rrr_2d(&d, k).unwrap();
+                let exact = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default())
+                    .unwrap()
+                    .solve_rrr(k)
+                    .unwrap();
                 assert!(
                     approx.size() <= exact.size(),
                     "seed {seed} k={k}: approx {} > exact {}",
@@ -355,9 +302,13 @@ mod tests {
         for seed in 40..50 {
             let d = random_dataset(60, seed);
             for r in [2usize, 4] {
-                let baseline = rrm_via_rrr_2d(&d, r, &FullSpace::new(2)).unwrap();
+                let baseline =
+                    PreparedRrr2d::new(&d, &FullSpace::new(2)).unwrap().solve_rrm(r).unwrap();
                 assert!(baseline.size() <= r);
-                let exact = rrm_2d(&d, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+                let exact = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default())
+                    .unwrap()
+                    .solve_rrm(r)
+                    .unwrap();
                 let exact_k = exact.certified_regret.unwrap();
                 let baseline_k = exact_regret(&d, &baseline.indices);
                 assert!(
@@ -373,7 +324,7 @@ mod tests {
         let d =
             Dataset::from_rows(&[[0.0, 1.0], [0.4, 0.95], [0.57, 0.75], [0.79, 0.6], [1.0, 0.0]])
                 .unwrap();
-        let sol = rrr_2d(&d, 1, &FullSpace::new(2)).unwrap();
+        let sol = rrr_2d(&d, 1).unwrap();
         // Rank ≤ 1 windows: only upper-envelope lines; certified 2·1−1 = 1.
         assert_eq!(sol.certified_regret, Some(1));
         assert_eq!(exact_regret(&d, &sol.indices), 1);
@@ -382,6 +333,20 @@ mod tests {
     #[test]
     fn zero_threshold_rejected() {
         let d = random_dataset(10, 60);
-        assert!(rrr_2d(&d, 0, &FullSpace::new(2)).is_err());
+        assert!(rrr_2d(&d, 0).is_err());
+    }
+
+    #[test]
+    fn cover_memo_stays_bounded_under_distinct_thresholds() {
+        let d = random_dataset(30, 61);
+        let prepared = PreparedRrr2d::new(&d, &FullSpace::new(2)).unwrap();
+        // A client streaming distinct thresholds far past n.
+        for k in 1..=300 {
+            let warm = prepared.solve_rrr(k).unwrap();
+            if k >= d.n() || k % 7 == 0 {
+                assert_eq!(warm, rrr_2d(&d, k).unwrap(), "k={k}");
+            }
+        }
+        assert_eq!(prepared.covers.lock().unwrap().len(), d.n(), "one cover per k <= n");
     }
 }

@@ -3,17 +3,16 @@
 //! al. (2DRRR).
 //!
 //! Both are planar (`d = 2` exactly); the trait's `supported_dims`
-//! advertises that, and engines turn it into a uniform
-//! `RrmError::Unsupported` before dispatch.
+//! advertises that, and `prepare_ctx` turns it into a uniform
+//! `RrmError::Unsupported` before building any state.
 
 use rrm_core::{
     Algorithm, AppliedUpdate, Budget, Dataset, PreparedSolver, RrmError, Solution, Solver,
     SolverCtx, UtilitySpace,
 };
 
-use crate::pareto::rrr_exact_2d;
-use crate::rrm2d::{rrm_2d, Prepared2d, Rrm2dOptions};
-use crate::rrr2d::{rrm_via_rrr_2d_with_exec, rrr_2d_with_exec, PreparedRrr2d};
+use crate::rrm2d::{Prepared2d, Rrm2dOptions};
+use crate::rrr2d::PreparedRrr2d;
 
 /// **2DRRM** (paper Section IV): exact RRM/RRRM via the dual-line sweep,
 /// exact RRR via binary search on the DP.
@@ -26,41 +25,11 @@ impl TwoDRrmSolver {
     pub fn new(options: Rrm2dOptions) -> Self {
         Self { options }
     }
-
-    /// Options with the context's execution policy applied (an explicit
-    /// engine policy overrides the options' default).
-    fn with_ctx(&self, ctx: &SolverCtx) -> Rrm2dOptions {
-        let mut options = self.options;
-        options.exec = ctx.exec.or(options.exec);
-        options
-    }
 }
 
 impl Solver for TwoDRrmSolver {
     fn algorithm(&self) -> Algorithm {
         Algorithm::TwoDRrm
-    }
-
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        _budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        rrm_2d(data, r, space, self.with_ctx(ctx))
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        _budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        rrr_exact_2d(data, k, space, self.with_ctx(ctx))
     }
 
     fn prepare_ctx(
@@ -70,13 +39,14 @@ impl Solver for TwoDRrmSolver {
         ctx: &SolverCtx,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
         self.ensure_supported(data, space)?;
-        Ok(Box::new(PreparedTwoDRrm { inner: Prepared2d::new(data, space, self.with_ctx(ctx))? }))
+        // An explicit engine policy overrides the options' default.
+        let options = Rrm2dOptions { exec: ctx.exec.or(self.options.exec), ..self.options };
+        Ok(Box::new(PreparedTwoDRrm { inner: Prepared2d::new(data, space, options)? }))
     }
 }
 
 /// [`Prepared2d`] behind the [`PreparedSolver`] contract (the 2D solvers
-/// take no budget knobs, so the budget is ignored exactly as in the
-/// one-shot path).
+/// take no budget knobs, so the budget is ignored).
 struct PreparedTwoDRrm {
     inner: Prepared2d,
 }
@@ -113,30 +83,6 @@ pub struct TwoDRrrSolver;
 impl Solver for TwoDRrrSolver {
     fn algorithm(&self) -> Algorithm {
         Algorithm::TwoDRrr
-    }
-
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        _budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        self.ensure_supported(data, space)?;
-        rrm_via_rrr_2d_with_exec(data, r, space, ctx.exec)
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        _budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        self.ensure_supported(data, space)?;
-        rrr_2d_with_exec(data, k, space, ctx.exec)
     }
 
     fn prepare_ctx(
@@ -191,19 +137,6 @@ mod tests {
             [1.0, 0.0],
         ])
         .unwrap()
-    }
-
-    #[test]
-    fn trait_and_function_agree() {
-        let solver = TwoDRrmSolver::default();
-        let ctx = rrm_core::SolverCtx::default();
-        let via_trait = solver
-            .solve_rrm_ctx(&table1(), 2, &FullSpace::new(2), &Budget::default(), &ctx)
-            .unwrap();
-        let direct = rrm_2d(&table1(), 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-        assert_eq!(via_trait, direct);
-        assert_eq!(solver.algorithm(), Algorithm::TwoDRrm);
-        assert!(solver.has_regret_guarantee());
     }
 
     #[test]

@@ -132,12 +132,12 @@ mod tests {
         let sol = cube(&data, 12).unwrap();
         let rank =
             estimate_rank_regret_seq(&data, &sol.indices, &FullSpace::new(3), 10_000, 5).max_rank;
-        let hdrrm = crate::hdrrm(
+        let hdrrm = crate::PreparedHdrrm::new(
             &data,
-            12,
             &FullSpace::new(3),
             crate::HdrrmOptions { m_override: Some(2_000), ..Default::default() },
         )
+        .and_then(|h| h.solve_rrm(12, &rrm_core::Budget::UNLIMITED))
         .unwrap();
         let rank_h =
             estimate_rank_regret_seq(&data, &hdrrm.indices, &FullSpace::new(3), 10_000, 5).max_rank;

@@ -30,7 +30,8 @@ use crate::asms::{asms_with_topk, asms_with_topk_capped};
 use crate::common::batch_topk;
 use crate::discretize::{build_vector_set_exec, paper_sample_size, Discretization};
 
-/// Tuning knobs for [`hdrrm`]. Defaults mirror the paper's experiments.
+/// Tuning knobs for [`PreparedHdrrm`]. Defaults mirror the paper's
+/// experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct HdrrmOptions {
     /// Polar grid resolution γ (paper: 6).
@@ -91,9 +92,8 @@ const COARSE_FRACTION: usize = 16;
 /// itself.
 const COARSE_MIN_DIRS: usize = 16;
 
-/// The per-solve probe environment shared by the one-shot and prepared
-/// HDRRM searches: everything a feasibility probe needs besides the
-/// top-k lists (which the two paths source differently).
+/// The per-solve probe environment of an HDRRM search: everything a
+/// feasibility probe needs besides the top-k lists.
 struct AsmsSearch<'a> {
     data: &'a Dataset,
     r: usize,
@@ -213,98 +213,6 @@ impl AsmsSearch<'_> {
     }
 }
 
-/// Solve RRM (`space = L`) or RRRM (restricted `space`) with HDRRM,
-/// running to completion ([`Cutoff::None`]).
-///
-/// Errors when `r` cannot hold the basis (`r < |B|`; the paper assumes
-/// `r ≥ d`), when `d < 2`, or on dimension mismatch.
-pub fn hdrrm(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    options: HdrrmOptions,
-) -> Result<Solution, RrmError> {
-    hdrrm_anytime(data, r, space, options, Cutoff::None, None)
-}
-
-/// [`hdrrm`] as an anytime bound-and-prune search.
-///
-/// The doubling-then-binary threshold search runs under `cutoff`
-/// (`probe_budget` threshold probes under [`Cutoff::CounterBudget`]); an
-/// early stop returns the best incumbent found so far — the coarse-frame
-/// answer, a feasible probe, or the uniform-direction fallback — with
-/// certified [`Bounds`] and the [`TerminatedBy`] reason, instead of
-/// failing. Under [`Cutoff::None`] the answer is bit-identical to the
-/// pre-anytime solver at any thread count.
-pub fn hdrrm_anytime(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    options: HdrrmOptions,
-    cutoff: Cutoff,
-    probe_budget: Option<usize>,
-) -> Result<Solution, RrmError> {
-    let d = data.dim();
-    let n = data.n();
-    if d < 2 {
-        return Err(RrmError::Unsupported("HDRRM requires d >= 2".into()));
-    }
-    if space.dim() != d {
-        return Err(RrmError::DimensionMismatch { expected: d, got: space.dim() });
-    }
-    let basis = if options.include_basis { basis_indices(data) } else { Vec::new() };
-    if r < basis.len().max(1) {
-        return Err(RrmError::OutputSizeTooSmall { requested: r, minimum: basis.len().max(1) });
-    }
-
-    let m = options.m_override.unwrap_or_else(|| paper_sample_size(n, r, d, options.delta));
-    let disc = build_vector_set_exec(d, space, m, options.gamma, options.seed, options.exec);
-
-    let mask = if options.skyline_candidates {
-        let sky = rrm_skyline::skyline(data);
-        let mut mask = vec![false; n];
-        for &s in &sky {
-            mask[s as usize] = true;
-        }
-        Some(mask)
-    } else {
-        None
-    };
-
-    let env = AsmsSearch {
-        data,
-        r,
-        basis: &basis,
-        mask: mask.as_deref(),
-        pick_cap: pick_cap(r, &basis, &options),
-        pol: options.exec.parallelism,
-    };
-    let mut search = AnytimeSearch::new(cutoff, probe_budget);
-    if search.cutoff() != Cutoff::None {
-        env.offer_fallback(&disc.dirs, &mut search);
-    }
-    env.coarse_incumbent(&disc.dirs, &mut search);
-
-    // Main search (Algorithm 3 lines 2–6). Top-k lists computed for the
-    // latest doubling threshold are kept (within the cache budget) and
-    // sliced for every smaller probe — the ASMS prefix property.
-    let mut cache: Option<(usize, Arc<Vec<Vec<u32>>>)> = None;
-    let outcome = threshold_search(n, &mut search, |k, lower, search| {
-        let lists = match &cache {
-            Some((ck, lists)) if *ck >= k => lists.clone(),
-            _ => {
-                let lists = Arc::new(batch_topk(data, &disc.dirs, k, options.exec.parallelism));
-                if disc.dirs.len().saturating_mul(k) <= options.cache_budget_entries {
-                    cache = Some((k, lists.clone()));
-                }
-                lists
-            }
-        };
-        Ok(env.probe(k, &lists, lower, search))
-    })?;
-    env.finish(outcome, search)
-}
-
 /// HDRRM bound to one dataset and utility space: the prepare-once /
 /// query-many form of the paper's HD algorithm.
 ///
@@ -315,9 +223,8 @@ pub fn hdrrm_anytime(
 /// the greedy covers, and the binary-search phases of *different* queries
 /// share one top-`k` computation through the ASMS prefix property.
 ///
-/// Every query returns exactly what the one-shot [`hdrrm`] / [`hdrrr`]
-/// would return for the same inputs — the caches are keyed by the same
-/// deterministic seeds the one-shot path uses.
+/// The caches are keyed by deterministic seeds, so a warm handle answers
+/// exactly as a freshly prepared one.
 pub struct PreparedHdrrm {
     data: Dataset,
     space: Box<dyn UtilitySpace>,
@@ -446,7 +353,7 @@ impl PreparedHdrrm {
     /// entries per direction. Within the cache budget, one computation at
     /// the largest requested `k` serves every smaller threshold (the ASMS
     /// prefix property); above it, lists are computed fresh per call —
-    /// exactly the one-shot memory/speed trade.
+    /// trading speed for bounded memory.
     fn lists(&self, m: usize, k: usize) -> TopkLists {
         let disc = self.disc(m);
         let pol = self.options.exec.parallelism;
@@ -479,18 +386,25 @@ impl PreparedHdrrm {
         }
     }
 
-    /// The effective sample count for an RRM query (budget override, then
-    /// option override, then the Theorem 10 formula — identical precedence
-    /// to the one-shot [`hdrrm`] behind a budget-applying solver).
+    /// The effective sample count for an RRM query: budget override, then
+    /// option override, then the Theorem 10 formula.
     fn rrm_samples(&self, r: usize, budget: &Budget) -> usize {
         budget.samples.or(self.options.m_override).unwrap_or_else(|| {
             paper_sample_size(self.data.n(), r, self.data.dim(), self.options.delta)
         })
     }
 
-    /// RRM for one size budget (identical to [`hdrrm`], including the
-    /// anytime behavior: the budget's [`Budget::effective_cutoff`] and
-    /// `max_enumerations` probe allowance apply in-solve).
+    /// RRM (`space = L`) or RRRM (restricted `space`) for one size budget.
+    ///
+    /// The doubling-then-binary threshold search runs under the budget's
+    /// [`Budget::effective_cutoff`] (`max_enumerations` threshold probes
+    /// under [`Cutoff::CounterBudget`]); an early stop returns the best
+    /// incumbent found so far — the coarse-frame answer, a feasible probe,
+    /// or the uniform-direction fallback — with certified [`Bounds`] and
+    /// the [`TerminatedBy`] reason, instead of failing.
+    ///
+    /// Errors when `r` cannot hold the basis (`r < |B|`; the paper assumes
+    /// `r ≥ d`).
     pub fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
         let n = self.data.n();
         let basis: &[u32] = if self.options.include_basis { &self.basis } else { &[] };
@@ -520,12 +434,15 @@ impl PreparedHdrrm {
         env.finish(outcome, search)
     }
 
-    /// RRR for one threshold (identical to [`hdrrr`]).
+    /// The RRR (threshold) variant in HD: one ASMS call at threshold `k`
+    /// returns a small superset of the basis with `∇D(Q) ≤ k` — the MS
+    /// problem of Definition 7, certified over the discretization.
     pub fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {
         if k == 0 {
             return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
         }
         let n = self.data.n();
+        // The formula's r is unknown for RRR; scale m by the basis instead.
         let m = budget.samples.or(self.options.m_override).unwrap_or_else(|| {
             paper_sample_size(n, (2 * self.basis.len()).max(8), self.data.dim(), self.options.delta)
         });
@@ -597,59 +514,32 @@ fn patch_topk(
     Arc::new(out)
 }
 
-/// The RRR (threshold) variant in HD: one ASMS call at threshold `k`
-/// returns a small superset of the basis with `∇D(Q) ≤ k` — the MS problem
-/// of Definition 7, certified over the discretization.
-pub fn hdrrr(
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    options: HdrrmOptions,
-) -> Result<Solution, RrmError> {
-    let d = data.dim();
-    let n = data.n();
-    if d < 2 {
-        return Err(RrmError::Unsupported("HDRRR requires d >= 2".into()));
-    }
-    if space.dim() != d {
-        return Err(RrmError::DimensionMismatch { expected: d, got: space.dim() });
-    }
-    if k == 0 {
-        return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-    }
-    let basis = basis_indices(data);
-    // The formula's r is unknown for RRR; scale m by the threshold instead.
-    let m = options
-        .m_override
-        .unwrap_or_else(|| paper_sample_size(n, (2 * basis.len()).max(8), d, options.delta));
-    let disc = build_vector_set_exec(d, space, m, options.gamma, options.seed, options.exec);
-    let mask = if options.skyline_candidates {
-        let sky = rrm_skyline::skyline(data);
-        let mut mask = vec![false; n];
-        for &s in &sky {
-            mask[s as usize] = true;
-        }
-        Some(mask)
-    } else {
-        None
-    };
-    let q = crate::asms::asms(
-        data,
-        k.min(n),
-        &basis,
-        &disc.dirs,
-        mask.as_deref(),
-        options.exec.parallelism,
-    );
-    Solution::new(q, Some(k.min(n)), Algorithm::Hdrrm, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::discretize::build_vector_set;
     use rrm_core::{FullSpace, WeakRankingSpace};
     use rrm_data::synthetic::{anticorrelated, correlated, independent};
+
+    /// One RRM solve on a fresh handle.
+    fn hdrrm(
+        data: &Dataset,
+        r: usize,
+        space: &dyn UtilitySpace,
+        options: HdrrmOptions,
+    ) -> Result<Solution, RrmError> {
+        PreparedHdrrm::new(data, space, options)?.solve_rrm(r, &Budget::UNLIMITED)
+    }
+
+    /// One RRR solve on a fresh handle.
+    fn hdrrr(
+        data: &Dataset,
+        k: usize,
+        space: &dyn UtilitySpace,
+        options: HdrrmOptions,
+    ) -> Result<Solution, RrmError> {
+        PreparedHdrrm::new(data, space, options)?.solve_rrr(k, &Budget::UNLIMITED)
+    }
 
     fn quick_opts(m: usize) -> HdrrmOptions {
         HdrrmOptions { m_override: Some(m), gamma: 4, ..Default::default() }

@@ -9,9 +9,9 @@
 //! | [`mod@mdrc`] | MDRC (space partitioning) | no | no | yes |
 //! | [`mod@mdrms`] | MDRMS (regret-ratio / RMS) | no (wrong objective) | yes | yes |
 //!
-//! This is Table III of the paper, encoded in the implementations: `mdrrr`
-//! rejects restricted spaces, `mdrc` rejects them too, and only `hdrrm`
-//! and `mdrrr` certify a rank-regret for their output.
+//! This is Table III of the paper, encoded in the [`solver`] capability
+//! queries: MDRRR and MDRC reject restricted spaces, and only HDRRM and
+//! MDRRR certify a rank-regret for their output.
 
 pub(crate) mod anytime;
 pub mod asms;
@@ -29,10 +29,10 @@ pub mod solver;
 pub use asms::asms;
 pub use cube::{cube, cube_ratio_bound};
 pub use discretize::{build_vector_set, paper_sample_size, Discretization};
-pub use hdrrm::{hdrrm, hdrrm_anytime, hdrrr, HdrrmOptions, PreparedHdrrm};
+pub use hdrrm::{HdrrmOptions, PreparedHdrrm};
 pub use ksets::{enumerate_ksets, KsetEnumeration, KsetLimits};
-pub use mdrc::{mdrc, mdrc_anytime, mdrc_rrm, MdrcOptions};
-pub use mdrms::{mdrms, MdrmsOptions};
-pub use mdrrr::{mdrrr, mdrrr_rrm, mdrrr_rrm_anytime};
-pub use mdrrr_r::{mdrrr_r, mdrrr_r_rrm, mdrrr_r_rrm_anytime, MdrrrROptions};
+pub use mdrc::{mdrc_anytime, MdrcOptions};
+pub use mdrms::MdrmsOptions;
+pub use mdrrr::mdrrr;
+pub use mdrrr_r::MdrrrROptions;
 pub use solver::{HdrrmSolver, MdrcSolver, MdrmsSolver, MdrrrRSolver, MdrrrSolver};

@@ -18,7 +18,7 @@ use rrm_core::{
 };
 use rrm_geom::polar::angles_to_direction;
 
-/// Options for [`mdrc`].
+/// Options for [`mdrc_anytime`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MdrcOptions {
     /// Extra probe directions per cell in addition to the `2^(d-1)`
@@ -40,18 +40,10 @@ struct Cell {
 }
 
 /// MDRC for RRM: a size ≤ `r` set chosen by recursive angle-space
-/// partitioning. `certified_regret` is `None` (no guarantee).
-pub fn mdrc(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrcOptions,
-) -> Result<Solution, RrmError> {
-    mdrc_anytime(data, r, space, opts, Cutoff::None, None)
-}
-
-/// [`mdrc`] as an anytime refinement: every refinement step improves the
-/// answer, so a cutoff simply returns the cells refined so far (fewer,
+/// partitioning, with `certified_regret` `None` (no guarantee).
+///
+/// The partitioning is an anytime refinement: every refinement step
+/// improves the answer, so a cutoff simply returns the cells refined so far (fewer,
 /// coarser representatives — still a valid size ≤ `r` set). MDRC probes
 /// say nothing about cell interiors, so no rank bounds are attached; a
 /// cut-off run carries only its [`TerminatedBy`] reason. `eval_budget`
@@ -130,17 +122,6 @@ pub fn mdrc_anytime(
         .map(|s| s.with_termination(terminated).with_report(search.report))
 }
 
-/// Alias for symmetry with the other baselines' RRM adapters (MDRC is a
-/// direct RRM heuristic — no threshold search needed).
-pub fn mdrc_rrm(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrcOptions,
-) -> Result<Solution, RrmError> {
-    mdrc(data, r, space, opts)
-}
-
 /// Probe the cell (corners, center and optional sub-grid) and pick the
 /// tuple minimizing the maximum rank across probes.
 fn evaluate_cell(data: &Dataset, lo: &[f64], hi: &[f64], opts: MdrcOptions) -> Cell {
@@ -214,6 +195,16 @@ mod tests {
     use rrm_core::{FullSpace, WeakRankingSpace};
     use rrm_data::synthetic::{correlated, independent};
     use rrm_eval::estimate_rank_regret_seq;
+
+    /// One MDRC run to completion.
+    fn mdrc(
+        data: &Dataset,
+        r: usize,
+        space: &dyn UtilitySpace,
+        opts: MdrcOptions,
+    ) -> Result<Solution, RrmError> {
+        mdrc_anytime(data, r, space, opts, Cutoff::None, None)
+    }
 
     #[test]
     fn respects_budget_and_runs() {

@@ -14,13 +14,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rrm_core::{
-    utility, Algorithm, Dataset, ExecPolicy, Parallelism, RrmError, Solution, UtilitySpace,
-};
+use rrm_core::{utility, Dataset, ExecPolicy, Parallelism, UtilitySpace};
 
 use crate::common::batch_top1_scores;
 
-/// Options for [`mdrms`].
+/// Options for [`crate::MdrmsSolver`].
 #[derive(Debug, Clone, Copy)]
 pub struct MdrmsOptions {
     /// Number of sampled directions discretizing the function space.
@@ -43,29 +41,12 @@ impl Default for MdrmsOptions {
     }
 }
 
-/// Greedy RMS over a sampled function space. Returns a size ≤ `r` set;
-/// `certified_regret` is `None` (it does not even optimize rank).
-pub fn mdrms(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrmsOptions,
-) -> Result<Solution, RrmError> {
-    if r == 0 {
-        return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
-    }
-    if space.dim() != data.dim() {
-        return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
-    }
-    let mut greedy = GreedyRms::new(data, space, opts);
-    let chosen = greedy.prefix(data, r);
-    Solution::new(chosen, None, Algorithm::Mdrms, data)
-}
-
-/// Resumable greedy state: each pick depends only on earlier picks, so one
-/// growing prefix answers every size budget — the one-shot [`mdrms`] runs
-/// it once, the prepared path keeps it alive and extends it on demand
-/// (`mdrms(r)` is always the first `r` picks of `mdrms(r')` for `r' ≥ r`).
+/// Greedy RMS over a sampled function space, as resumable state: each pick
+/// depends only on earlier picks, so one growing prefix answers every size
+/// budget — the prepared handle keeps it alive and extends it on demand
+/// (the size-`r` answer is always the first `r` picks of the size-`r'`
+/// answer for `r' ≥ r`). Answers carry no certificate: the greedy does not
+/// even optimize rank.
 pub(crate) struct GreedyRms {
     dirs: Vec<Vec<f64>>,
     top1: Vec<f64>,
@@ -218,8 +199,20 @@ fn best_addition(
 mod tests {
     use super::*;
     use rrm_core::FullSpace;
+    use rrm_core::{Budget, RrmError, Solution, Solver, SolverCtx};
     use rrm_data::synthetic::independent;
     use rrm_eval::{estimate_rank_regret_seq, estimate_regret_ratio};
+
+    /// One MDRMS solve on a fresh handle.
+    fn mdrms(
+        data: &Dataset,
+        r: usize,
+        space: &dyn UtilitySpace,
+        opts: MdrmsOptions,
+    ) -> Result<Solution, RrmError> {
+        let solver = crate::MdrmsSolver::new(opts);
+        solver.solve_rrm_ctx(data, r, space, &Budget::UNLIMITED, &SolverCtx::default())
+    }
 
     fn table1() -> Dataset {
         Dataset::from_rows(&[

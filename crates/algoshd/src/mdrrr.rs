@@ -78,25 +78,9 @@ pub fn mdrrr(data: &Dataset, k: usize, limits: KsetLimits) -> Result<Solution, R
 }
 
 /// MDRRR adapted to RRM with the improved (doubling + binary) search on
-/// `k`, as the paper's experiments run it.
-pub fn mdrrr_rrm(data: &Dataset, r: usize, limits: KsetLimits) -> Result<Solution, RrmError> {
-    rrm_search_with(data, r, Cutoff::None, |k| mdrrr(data, k, limits))
-}
-
-/// [`mdrrr_rrm`] under an explicit in-solve cutoff.
-pub fn mdrrr_rrm_anytime(
-    data: &Dataset,
-    r: usize,
-    limits: KsetLimits,
-    cutoff: Cutoff,
-) -> Result<Solution, RrmError> {
-    rrm_search_with(data, r, cutoff, |k| mdrrr(data, k, limits))
-}
-
-/// The anytime doubling + binary search on `k` shared by [`mdrrr_rrm`]
-/// and the prepared path: `probe(k)` answers one threshold. Kept
-/// closure-driven so prepared solvers can memoize enumerations without
-/// duplicating the search (which would risk parity drift).
+/// `k`, as the paper's experiments run it, under an anytime cutoff:
+/// `probe(k)` answers one threshold, so the prepared handle can memoize
+/// enumerations across probes and queries.
 ///
 /// Infeasible probes are sound *lower-bound* proofs even when the k-set
 /// enumeration was truncated: a hitting set over a subset of the k-sets
@@ -174,7 +158,7 @@ pub(crate) fn rrm_search_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::FullSpace;
+    use rrm_core::{Budget, FullSpace, Solver, SolverCtx};
     use rrm_data::synthetic::independent;
     use rrm_eval::estimate_rank_regret_seq;
 
@@ -194,7 +178,15 @@ mod tests {
     fn rrm_adapter_respects_budget() {
         let data = independent(25, 3, 43);
         for r in [2usize, 4, 6] {
-            let sol = mdrrr_rrm(&data, r, KsetLimits::default()).unwrap();
+            let sol = crate::MdrrrSolver::default()
+                .solve_rrm_ctx(
+                    &data,
+                    r,
+                    &FullSpace::new(3),
+                    &Budget::UNLIMITED,
+                    &SolverCtx::default(),
+                )
+                .unwrap();
             assert!(sol.size() <= r);
             let k = sol.certified_regret.unwrap();
             let est = estimate_rank_regret_seq(&data, &sol.indices, &FullSpace::new(3), 8000, 44);

@@ -12,15 +12,15 @@ use std::collections::HashSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rrm_core::{
-    Algorithm, AnytimeSearch, Bounds, Cutoff, Dataset, ExecPolicy, Parallelism, RrmError, Solution,
+    Algorithm, AnytimeSearch, Bounds, Dataset, ExecPolicy, Parallelism, RrmError, Solution,
     TerminatedBy, UtilitySpace,
 };
 
 use crate::anytime::{regret_over_dirs, threshold_search, uniform_top_set, ThresholdOutcome};
 use crate::common::batch_topk;
-use crate::mdrrr::{hit_ksets, hit_ksets_capped};
+use crate::mdrrr::hit_ksets_capped;
 
-/// Options for [`mdrrr_r`].
+/// Options for [`crate::MdrrrRSolver`].
 #[derive(Debug, Clone, Copy)]
 pub struct MdrrrROptions {
     /// Number of sampled directions used to discover k-sets.
@@ -48,8 +48,8 @@ const COARSE_FRACTION: usize = 16;
 /// Minimum coarse pool size for the coarse pass to be worth running.
 const COARSE_MIN_DIRS: usize = 16;
 
-/// The per-solve probe environment shared by the one-shot and prepared
-/// MDRRRr RRM searches (the k-set family source differs between them).
+/// The per-solve probe environment of the MDRRRr RRM search (doubling +
+/// binary search on `k` over the sampled k-set families).
 pub(crate) struct SampledSearch<'a> {
     pub data: &'a Dataset,
     pub r: usize,
@@ -188,96 +188,45 @@ pub(crate) fn ksets_from_dirs(
     ksets
 }
 
-/// Distinct top-k sets observed across sampled directions.
-fn sample_ksets(
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrrrROptions,
-) -> Vec<Vec<u32>> {
-    ksets_from_dirs(data, k, &sampled_dirs(space, opts), opts.exec.parallelism)
-}
-
-/// MDRRRr for the RRR problem over a (possibly restricted) space. The
-/// output hits every *sampled* k-set; `certified_regret` is `None`.
-pub fn mdrrr_r(
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrrrROptions,
-) -> Result<Solution, RrmError> {
-    if k == 0 {
-        return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-    }
-    if space.dim() != data.dim() {
-        return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
-    }
-    let k = k.min(data.n());
-    let ksets = sample_ksets(data, k, space, opts);
-    let ids = hit_ksets(data.n(), &ksets);
-    Solution::new(ids, None, Algorithm::MdrrrR, data)
-}
-
-/// MDRRRr adapted to RRM (doubling + binary search on `k`), running to
-/// completion ([`Cutoff::None`]).
-pub fn mdrrr_r_rrm(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrrrROptions,
-) -> Result<Solution, RrmError> {
-    mdrrr_r_rrm_anytime(data, r, space, opts, Cutoff::None, None)
-}
-
-/// [`mdrrr_r_rrm`] as an anytime bound-and-prune search.
-///
-/// The sampled direction pool is drawn once and reused for every
-/// threshold probe; hitting-set covers abort as soon as they provably
-/// exceed `r` (when `opts.prune`); an early stop under `cutoff` returns
-/// the best incumbent found so far — the coarse-prefix answer, a feasible
-/// probe, or the uniform-direction fallback — with pool-relative
-/// [`Bounds`] and the [`TerminatedBy`] reason. Under [`Cutoff::None`] the
-/// answer is bit-identical to the pre-anytime solver at any thread count.
-pub fn mdrrr_r_rrm_anytime(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrrrROptions,
-    cutoff: Cutoff,
-    probe_budget: Option<usize>,
-) -> Result<Solution, RrmError> {
-    if space.dim() != data.dim() {
-        return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
-    }
-    if r == 0 {
-        return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
-    }
-    let n = data.n();
-    let dirs = sampled_dirs(space, opts);
-    let env = SampledSearch {
-        data,
-        r,
-        pick_cap: SampledSearch::pick_cap(r, opts.prune),
-        pol: opts.exec.parallelism,
-    };
-    let mut search = AnytimeSearch::new(cutoff, probe_budget);
-    if search.cutoff() != Cutoff::None {
-        env.offer_fallback(&dirs, &mut search);
-    }
-    env.coarse_incumbent(&dirs, &mut search);
-    let outcome = threshold_search(n, &mut search, |k, lower, search| {
-        let ksets = ksets_from_dirs(data, k, &dirs, env.pol);
-        Ok(env.probe(k, &ksets, lower, search))
-    })?;
-    env.finish(outcome, search)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrm_core::{Budget, Solver, SolverCtx};
     use rrm_core::{FullSpace, WeakRankingSpace};
     use rrm_data::synthetic::{anticorrelated, independent};
     use rrm_eval::estimate_rank_regret_seq;
+
+    /// MDRRRr for RRR on a fresh handle.
+    fn mdrrr_r(
+        data: &Dataset,
+        k: usize,
+        space: &dyn UtilitySpace,
+        opts: MdrrrROptions,
+    ) -> Result<Solution, RrmError> {
+        crate::MdrrrRSolver::new(opts).solve_rrr_ctx(
+            data,
+            k,
+            space,
+            &Budget::UNLIMITED,
+            &SolverCtx::default(),
+        )
+    }
+
+    /// MDRRRr adapted to RRM on a fresh handle.
+    fn mdrrr_r_rrm(
+        data: &Dataset,
+        r: usize,
+        space: &dyn UtilitySpace,
+        opts: MdrrrROptions,
+    ) -> Result<Solution, RrmError> {
+        crate::MdrrrRSolver::new(opts).solve_rrm_ctx(
+            data,
+            r,
+            space,
+            &Budget::UNLIMITED,
+            &SolverCtx::default(),
+        )
+    }
 
     fn opts(samples: usize, seed: u64) -> MdrrrROptions {
         MdrrrROptions { samples, seed, ..Default::default() }

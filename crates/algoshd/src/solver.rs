@@ -2,29 +2,28 @@
 //! HDRRM (the paper's) and the Table III baselines MDRRR, MDRRRr, MDRC
 //! and MDRMS.
 //!
-//! Each solver owns its options struct; the engine-facing [`Budget`] caps
-//! are mapped onto whatever machinery the algorithm actually has —
-//! sample counts for the randomized ones, k-set/LP limits for MDRRR —
-//! and ignored where they do not apply.
+//! Each solver owns its options struct and answers through its prepared
+//! handle; the handle maps the engine-facing [`Budget`] caps onto whatever
+//! machinery the algorithm actually has — sample counts for the randomized
+//! ones, k-set/LP limits for MDRRR — and ignores the ones that do not
+//! apply.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use rrm_core::{
-    cache_bounded, rrr_via_rrm_search, rrr_via_rrm_search_with, Algorithm, AnytimeSearch,
-    AppliedUpdate, Budget, Cutoff, Dataset, PreparedSolver, RrmError, Solution, Solver, SolverCtx,
-    UtilitySpace, PREPARED_CACHE_CAP,
+    cache_bounded, rrr_via_rrm_search_with, Algorithm, AnytimeSearch, AppliedUpdate, Budget,
+    Cutoff, Dataset, PreparedSolver, RrmError, Solution, Solver, SolverCtx, UtilitySpace,
+    PREPARED_CACHE_CAP,
 };
 
 use crate::anytime::threshold_search;
-use crate::hdrrm::{hdrrm_anytime, hdrrr, HdrrmOptions, PreparedHdrrm};
+use crate::hdrrm::{HdrrmOptions, PreparedHdrrm};
 use crate::ksets::KsetLimits;
 use crate::mdrc::{mdrc_anytime, MdrcOptions};
-use crate::mdrms::{mdrms, GreedyRms, MdrmsOptions};
-use crate::mdrrr::{hit_ksets, mdrrr, mdrrr_rrm_anytime, rrm_search_with};
-use crate::mdrrr_r::{
-    ksets_from_dirs, mdrrr_r, mdrrr_r_rrm_anytime, sampled_dirs, MdrrrROptions, SampledSearch,
-};
+use crate::mdrms::{GreedyRms, MdrmsOptions};
+use crate::mdrrr::{hit_ksets, mdrrr, rrm_search_with};
+use crate::mdrrr_r::{ksets_from_dirs, sampled_dirs, MdrrrROptions, SampledSearch};
 
 /// **HDRRM** (paper Section V): discretize-and-cover with a certificate
 /// over the discretized direction set (Theorem 10).
@@ -37,49 +36,11 @@ impl HdrrmSolver {
     pub fn new(options: HdrrmOptions) -> Self {
         Self { options }
     }
-
-    fn budgeted(&self, budget: &Budget, ctx: &SolverCtx) -> HdrrmOptions {
-        let mut options = self.options;
-        if let Some(m) = budget.samples {
-            options.m_override = Some(m);
-        }
-        options.exec = ctx.exec.or(options.exec);
-        options
-    }
 }
 
 impl Solver for HdrrmSolver {
     fn algorithm(&self) -> Algorithm {
         Algorithm::Hdrrm
-    }
-
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        hdrrm_anytime(
-            data,
-            r,
-            space,
-            self.budgeted(budget, ctx),
-            budget.effective_cutoff(),
-            budget.max_enumerations,
-        )
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        hdrrr(data, k, space, self.budgeted(budget, ctx))
     }
 
     fn prepare_ctx(
@@ -134,49 +95,11 @@ impl MdrrrSolver {
     pub fn new(limits: KsetLimits) -> Self {
         Self { limits }
     }
-
-    fn budgeted(&self, budget: &Budget, ctx: &SolverCtx) -> KsetLimits {
-        let mut limits = self.limits;
-        if let Some(cap) = budget.max_enumerations {
-            limits.max_ksets = limits.max_ksets.min(cap);
-        }
-        if let Some(cap) = budget.max_lp_calls {
-            limits.max_lp_calls = limits.max_lp_calls.min(cap);
-        }
-        limits.exec = ctx.exec.or(limits.exec);
-        limits
-    }
 }
 
 impl Solver for MdrrrSolver {
     fn algorithm(&self) -> Algorithm {
         Algorithm::Mdrrr
-    }
-
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        // The underlying enumeration has no restricted-space mode; guard
-        // here so a direct trait call cannot silently ignore the space.
-        self.ensure_supported(data, space)?;
-        mdrrr_rrm_anytime(data, r, self.budgeted(budget, ctx), budget.effective_cutoff())
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        self.ensure_supported(data, space)?;
-        mdrrr(data, k, self.budgeted(budget, ctx))
     }
 
     fn prepare_ctx(
@@ -259,49 +182,11 @@ impl MdrrrRSolver {
     pub fn new(options: MdrrrROptions) -> Self {
         Self { options }
     }
-
-    fn budgeted(&self, budget: &Budget, ctx: &SolverCtx) -> MdrrrROptions {
-        let mut options = self.options;
-        if let Some(m) = budget.samples {
-            options.samples = m;
-        }
-        options.exec = ctx.exec.or(options.exec);
-        options
-    }
 }
 
 impl Solver for MdrrrRSolver {
     fn algorithm(&self) -> Algorithm {
         Algorithm::MdrrrR
-    }
-
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        mdrrr_r_rrm_anytime(
-            data,
-            r,
-            space,
-            self.budgeted(budget, ctx),
-            budget.effective_cutoff(),
-            budget.max_enumerations,
-        )
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        mdrrr_r(data, k, space, self.budgeted(budget, ctx))
     }
 
     fn prepare_ctx(
@@ -439,7 +324,7 @@ impl PreparedSolver for PreparedMdrrrR {
 
 /// **MDRC** (Asudeh et al.): recursive angle-space partitioning — fast,
 /// no certificate, full space only, and no native RRR mode (the
-/// representative direction falls back to [`rrr_via_rrm_search`]).
+/// representative direction falls back to [`rrr_via_rrm_search_with`]).
 #[derive(Debug, Clone, Default)]
 pub struct MdrcSolver {
     pub options: MdrcOptions,
@@ -451,47 +336,9 @@ impl MdrcSolver {
     }
 }
 
-impl MdrcSolver {
-    fn with_ctx(&self, ctx: &SolverCtx) -> MdrcOptions {
-        let mut options = self.options;
-        options.exec = ctx.exec.or(options.exec);
-        options
-    }
-}
-
 impl Solver for MdrcSolver {
     fn algorithm(&self) -> Algorithm {
         Algorithm::Mdrc
-    }
-
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        mdrc_anytime(
-            data,
-            r,
-            space,
-            self.with_ctx(ctx),
-            budget.effective_cutoff(),
-            budget.max_enumerations,
-        )
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        self.ensure_supported(data, space)?;
-        rrr_via_rrm_search(self, data, k, space, budget, ctx)
     }
 
     fn prepare_ctx(
@@ -504,7 +351,7 @@ impl Solver for MdrcSolver {
         Ok(Box::new(PreparedMdrc {
             data: data.clone(),
             space: space.clone_box(),
-            options: self.with_ctx(ctx),
+            options: MdrcOptions { exec: ctx.exec.or(self.options.exec), ..self.options },
             memo: Mutex::new(HashMap::new()),
         }))
     }
@@ -555,8 +402,14 @@ impl PreparedMdrc {
             cutoff,
             budget.max_enumerations,
         )?;
-        self.memo.lock().expect("MDRC memo poisoned").insert(key, sol.clone());
-        Ok(sol)
+        // Both key parts are request-supplied, so the memo is bounded like
+        // the other per-request caches (the RRR search probes many `r`).
+        Ok(cache_bounded(
+            &mut self.memo.lock().expect("MDRC memo poisoned"),
+            key,
+            sol,
+            8 * PREPARED_CACHE_CAP,
+        ))
     }
 }
 
@@ -598,42 +451,11 @@ impl MdrmsSolver {
     pub fn new(options: MdrmsOptions) -> Self {
         Self { options }
     }
-
-    fn budgeted(&self, budget: &Budget, ctx: &SolverCtx) -> MdrmsOptions {
-        let mut options = self.options;
-        if let Some(m) = budget.samples {
-            options.samples = m;
-        }
-        options.exec = ctx.exec.or(options.exec);
-        options
-    }
 }
 
 impl Solver for MdrmsSolver {
     fn algorithm(&self) -> Algorithm {
         Algorithm::Mdrms
-    }
-
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        mdrms(data, r, space, self.budgeted(budget, ctx))
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        rrr_via_rrm_search(self, data, k, space, budget, ctx)
     }
 
     fn prepare_ctx(
@@ -791,77 +613,18 @@ mod tests {
     }
 
     #[test]
-    fn prepared_hdrrm_matches_one_shot_across_queries() {
-        let data = small();
-        let space = FullSpace::new(3);
-        let solver = HdrrmSolver::default();
-        let budget = Budget::with_samples(150);
-        let prepared = solver.prepare(&data, &space).unwrap();
-        for r in [6usize, 8, 12] {
-            let one_shot = solver.solve_rrm_ctx(&data, r, &space, &budget, &ctx()).unwrap();
-            assert_eq!(prepared.solve_rrm(r, &budget).unwrap(), one_shot, "r={r}");
-        }
-        for k in [2usize, 10] {
-            let one_shot = solver.solve_rrr_ctx(&data, k, &space, &budget, &ctx()).unwrap();
-            assert_eq!(prepared.solve_rrr(k, &budget).unwrap(), one_shot, "k={k}");
-        }
-    }
-
-    #[test]
-    fn prepared_baselines_match_one_shot() {
-        let space = FullSpace::new(3);
-        // Tight LP cap: debug-profile simplex calls are ~50ms each, and
-        // MDRRR's one-shot side re-enumerates per probe. Parity holds
-        // under any cap — both paths see the same one.
-        let budget = Budget {
-            samples: Some(400),
-            max_enumerations: Some(500),
-            max_lp_calls: Some(150),
-            ..Budget::UNLIMITED
-        };
-        // MDRRR on a deliberately tiny instance (LP cost per feasibility
-        // check grows with k·(n−k) rows); the rest at a larger n.
-        let cases: Vec<(Box<dyn Solver>, Dataset)> = vec![
-            (Box::new(MdrrrSolver::default()), rrm_data::synthetic::independent(13, 3, 8)),
-            (Box::new(MdrrrRSolver::default()), rrm_data::synthetic::independent(22, 3, 8)),
-            (Box::new(MdrcSolver::default()), rrm_data::synthetic::independent(22, 3, 8)),
-            (Box::new(MdrmsSolver::default()), rrm_data::synthetic::independent(22, 3, 8)),
-        ];
-        for (solver, data) in &cases {
-            let prepared = solver.prepare(data, &space).unwrap();
-            for r in [3usize, 6] {
-                let one_shot = solver.solve_rrm_ctx(data, r, &space, &budget, &ctx()).unwrap();
-                assert_eq!(
-                    prepared.solve_rrm(r, &budget).unwrap(),
-                    one_shot,
-                    "{} r={r}",
-                    solver.name()
-                );
-            }
-            for k in [3usize, 5] {
-                let one_shot = solver.solve_rrr_ctx(data, k, &space, &budget, &ctx()).unwrap();
-                assert_eq!(
-                    prepared.solve_rrr(k, &budget).unwrap(),
-                    one_shot,
-                    "{} k={k}",
-                    solver.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn prepared_mdrms_prefix_property_under_interleaved_budgets() {
         // Queries arriving out of size order must not perturb the greedy
-        // sequence: ask big, then small, then medium.
+        // sequence: ask big, then small, then medium, and compare with a
+        // fresh handle per query.
         let data = rrm_data::synthetic::anticorrelated(120, 3, 9);
         let space = FullSpace::new(3);
         let budget = Budget::with_samples(300);
         let solver = MdrmsSolver::default();
         let prepared = solver.prepare(&data, &space).unwrap();
         for r in [8usize, 2, 5] {
-            let one_shot = solver.solve_rrm_ctx(&data, r, &space, &budget, &ctx()).unwrap();
-            assert_eq!(prepared.solve_rrm(r, &budget).unwrap(), one_shot, "r={r}");
+            let fresh = solver.solve_rrm_ctx(&data, r, &space, &budget, &ctx()).unwrap();
+            assert_eq!(prepared.solve_rrm(r, &budget).unwrap(), fresh, "r={r}");
         }
     }
 
@@ -873,5 +636,28 @@ mod tests {
         assert!(!MdrmsSolver::default().has_regret_guarantee());
         assert!(MdrrrRSolver::default().supports_restricted_space());
         assert!(!MdrcSolver::default().supports_restricted_space());
+    }
+
+    #[test]
+    fn mdrc_memo_stays_bounded_under_distinct_budgets() {
+        let data = rrm_data::synthetic::independent(40, 3, 12);
+        let space = FullSpace::new(3);
+        let solver = MdrcSolver::default();
+        let warm = PreparedMdrc {
+            data: data.clone(),
+            space: space.clone_box(),
+            options: solver.options,
+            memo: Mutex::new(HashMap::new()),
+        };
+        let cap = 8 * PREPARED_CACHE_CAP;
+        // A client streaming distinct size budgets past the memo cap.
+        for r in 1..=cap + 12 {
+            let sol = warm.solve_rrm(r, &Budget::UNLIMITED).unwrap();
+            if r % 29 == 0 || r > cap {
+                let fresh = solver.solve_rrm_ctx(&data, r, &space, &Budget::UNLIMITED, &ctx());
+                assert_eq!(sol, fresh.unwrap(), "r={r}");
+            }
+        }
+        assert_eq!(warm.memo.lock().unwrap().len(), cap, "memo must stop growing at its cap");
     }
 }

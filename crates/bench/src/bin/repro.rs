@@ -636,8 +636,8 @@ fn fig28(scale: Scale) {
     print_hd_table("n", &ticks, &rows);
 }
 
-/// Design-choice ablations called out in DESIGN.md (quality side; the
-/// timing side lives in the Criterion benches).
+/// Design-choice ablations called out in DESIGN.md (quality, plus the
+/// 2D sweep's timing in part (d)).
 fn ablation(scale: Scale) {
     // (a) HDRRM discretization: grid only / samples only / both, and γ.
     let n = 5_000;
@@ -714,7 +714,10 @@ fn ablation(scale: Scale) {
 /// Session amortization: the prepare-once / query-many API against
 /// one-shot solving, per algorithm, on the serving workload the paper
 /// motivates (one dataset, a stream of queries with repeating sizes).
-/// Prints a table and writes `BENCH_session.json` with the raw numbers.
+/// "One-shot" means a fresh prepare plus one query per request — what
+/// `Solver::solve_rrm_ctx` does — against one prepare reused by every
+/// query. Prints a table and writes `BENCH_session.json` with the raw
+/// numbers.
 fn amortize(scale: Scale) {
     use rank_regret::Session;
 
@@ -791,6 +794,7 @@ fn amortize(scale: Scale) {
         ),
     ];
 
+    println!("one-shot = a fresh prepare plus one query per request");
     println!(
         "{:<11} {:>5} {:>2} {:>4} {:>12} {:>12} {:>12} {:>9}",
         "algorithm", "n", "d", "Q", "one-shot(s)", "prepare(s)", "queries(s)", "speedup"
@@ -800,7 +804,8 @@ fn amortize(scale: Scale) {
         let solver = engine.solver(*algo).expect("registered");
         let space = FullSpace::new(data.dim());
 
-        // One-shot path: every query re-derives the per-dataset state.
+        // One-shot: every query prepares a fresh handle, re-deriving the
+        // per-dataset state.
         let (results, one_shot_seconds) = timed(|| {
             sizes
                 .iter()

@@ -2,7 +2,7 @@
 //!
 //! The `repro` binary (`cargo run --release -p bench --bin repro -- <id>`)
 //! regenerates each table/figure of the paper; this library holds the
-//! pieces shared between it and the Criterion benches: timed runs, the
+//! pieces it shares with its subcommand modules: timed runs, the
 //! algorithm roster — resolved through the [`Solver`] trait, so the
 //! harness never calls algorithm crates directly — and sweep
 //! configuration for quick vs full mode.
@@ -25,8 +25,8 @@ pub struct Outcome {
     /// Total wall-clock: `prepare_seconds + query_seconds`.
     pub seconds: f64,
     /// Time spent building dataset-bound state ([`Solver::prepare`]);
-    /// zero on the one-shot path, where that work is folded into the
-    /// query.
+    /// zero for [`measure_solver`], which prepares a fresh handle inside
+    /// the timed query.
     pub prepare_seconds: f64,
     /// Time spent answering the query itself.
     pub query_seconds: f64,
@@ -212,7 +212,7 @@ mod tests {
         assert!(out.size <= 3);
         assert!(out.certified.is_some());
         assert!(out.regret >= 1);
-        // One-shot: all time is query time.
+        // Fresh handle per query: all time is query time.
         assert_eq!(out.prepare_seconds, 0.0);
         assert_eq!(out.seconds, out.query_seconds);
     }
@@ -235,11 +235,11 @@ mod tests {
         assert_eq!(out.algorithm, "2DRRM");
         assert_eq!(out.prepare_seconds, prep_secs);
         assert!((out.seconds - (out.prepare_seconds + out.query_seconds)).abs() < 1e-12);
-        // Same answer as the one-shot path.
-        let one_shot = measure_solver(solver, &data, 3, &FullSpace::new(2), 500);
-        assert_eq!(out.size, one_shot.size);
-        assert_eq!(out.certified, one_shot.certified);
-        assert_eq!(out.regret, one_shot.regret);
+        // Same answer as a fresh handle.
+        let fresh = measure_solver(solver, &data, 3, &FullSpace::new(2), 500);
+        assert_eq!(out.size, fresh.size);
+        assert_eq!(out.certified, fresh.certified);
+        assert_eq!(out.regret, fresh.regret);
     }
 
     #[test]

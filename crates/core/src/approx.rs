@@ -359,41 +359,9 @@ pub struct SampledSolver {
     pub options: SampledOptions,
 }
 
-impl SampledSolver {
-    fn effective(&self, budget: &Budget, ctx: &SolverCtx) -> (ApproxSpec, ExecPolicy) {
-        (budget.approx.unwrap_or(self.options.spec), ctx.exec.or(self.options.exec))
-    }
-}
-
 impl Solver for SampledSolver {
     fn algorithm(&self) -> Algorithm {
         Algorithm::Sampled
-    }
-
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        self.ensure_supported(data, space)?;
-        let (spec, exec) = self.effective(budget, ctx);
-        solve_rrm_sampled_with(data, r, space, spec, budget.samples, self.options.seed, exec)
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        self.ensure_supported(data, space)?;
-        let (spec, exec) = self.effective(budget, ctx);
-        solve_rrr_sampled_with(data, k, space, spec, budget.samples, self.options.seed, exec)
     }
 
     fn prepare_ctx(
@@ -415,7 +383,7 @@ impl Solver for SampledSolver {
 /// [`SampledSolver`] bound to one dataset + space. The SoA scoring layout
 /// is built at prepare time and shared (via the dataset's internal `Arc`)
 /// by every query; directions are re-drawn per query from the constant
-/// seed, so prepared answers match the one-shot path bit for bit.
+/// seed, so a warm handle answers bit for bit like a fresh one.
 pub struct PreparedSampled {
     options: SampledOptions,
     data: Dataset,

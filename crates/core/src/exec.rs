@@ -1,8 +1,8 @@
 //! Execution policy: how much data parallelism solvers may use.
 //!
 //! [`ExecPolicy`] wraps the [`Parallelism`] knob of [`rrm_par`] and rides
-//! [`SolverCtx`] through [`Solver::prepare`] and the one-shot solve paths,
-//! so one engine-level setting (CLI `--threads`, `RRM_THREADS`, or a
+//! [`SolverCtx`] through [`Solver::prepare_ctx`] into every prepared
+//! handle, so one engine-level setting (CLI `--threads`, `RRM_THREADS`, or a
 //! [`Parallelism`] chosen in code) reaches every chunked kernel in the
 //! workspace — rank counting, top-k batches, greedy scoring, crossing
 //! enumeration, brute-force rank tables.
@@ -12,7 +12,7 @@
 //! so solutions are bit-identical at any thread count.
 //! `tests/parallel_parity.rs` enforces that for all eight algorithms.
 //!
-//! [`Solver::prepare`]: crate::Solver::prepare
+//! [`Solver::prepare_ctx`]: crate::Solver::prepare_ctx
 
 pub use rrm_par::Parallelism;
 
@@ -60,13 +60,12 @@ impl ExecPolicy {
     }
 }
 
-/// Per-call context handed by engines to [`Solver`] entry points
-/// ([`Solver::prepare`], `solve_rrm_ctx`, `solve_rrr_ctx`). Prepared
+/// Per-call context handed by engines to [`Solver::prepare_ctx`] (and the
+/// `solve_rrm_ctx`/`solve_rrr_ctx` conveniences built on it). Prepared
 /// solvers capture the policy at prepare time, so every later query runs
 /// under it.
 ///
-/// [`Solver`]: crate::Solver
-/// [`Solver::prepare`]: crate::Solver::prepare
+/// [`Solver::prepare_ctx`]: crate::Solver::prepare_ctx
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolverCtx {
     /// Data-parallelism policy for the call.

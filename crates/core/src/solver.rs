@@ -135,35 +135,6 @@ pub trait Solver: Send + Sync {
     /// Which [`Algorithm`] this solver implements.
     fn algorithm(&self) -> Algorithm;
 
-    /// Rank-regret *minimization* (RRM / RRRM): best set of ≤ `r` tuples
-    /// under an explicit execution context — the trait's one canonical
-    /// entry point (the pre-session positional 4-arg wrapper is gone;
-    /// pass `&SolverCtx::default()` for auto parallelism).
-    ///
-    /// The context's [`ExecPolicy`] only controls how many threads the
-    /// solver's chunked kernels use — solutions are bit-identical at any
-    /// thread count (`tests/parallel_parity.rs` enforces this).
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError>;
-
-    /// Rank-regret *representative* (RRR): smallest set with regret ≤ `k`,
-    /// under an explicit execution context (see [`Solver::solve_rrm_ctx`]
-    /// for the determinism contract and the canonical-entry-point note).
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError>;
-
     /// Display name (the paper's spelling, e.g. `MDRRRr`).
     fn name(&self) -> &'static str {
         self.algorithm().name()
@@ -188,15 +159,14 @@ pub trait Solver: Send + Sync {
     /// dataset-dependent state (Pareto frontiers, discretization grids,
     /// candidate pools, ...) **once** so that many queries with varying
     /// `r`/`k` can be answered cheaply through the returned
-    /// [`PreparedSolver`].
+    /// [`PreparedSolver`]. Preparation is purely a caching contract, never
+    /// an approximation: a warm, reused handle answers exactly as a fresh
+    /// one would.
     ///
     /// The prepared handle is `Send + Sync`; read-only queries against it
-    /// may run concurrently. Results are *identical* to the one-shot
-    /// [`Solver::solve_rrm_ctx`]/[`Solver::solve_rrr_ctx`] paths —
-    /// preparation is purely a caching contract, never an approximation.
-    ///
-    /// Capability checks ([`Solver::ensure_supported`]) run here, so a
-    /// prepared handle never fails a query for capability reasons.
+    /// may run concurrently. Capability checks
+    /// ([`Solver::ensure_supported`]) run here, so a prepared handle never
+    /// fails a query for capability reasons.
     ///
     /// Convenience form of [`Solver::prepare_ctx`] under the default
     /// [`SolverCtx`].
@@ -208,26 +178,49 @@ pub trait Solver: Send + Sync {
         self.prepare_ctx(data, space, &SolverCtx::default())
     }
 
-    /// [`Solver::prepare`] under an explicit execution context. The
-    /// prepared handle *captures* the context's [`ExecPolicy`]: every
-    /// later query runs its chunked kernels under that policy (queries
-    /// stay bit-identical to sequential execution either way).
-    ///
-    /// The default implementation reports that the solver has no prepared
-    /// mode; every solver shipped in this workspace overrides it.
+    /// [`Solver::prepare`] under an explicit execution context — the one
+    /// entry point every solver implements. The prepared handle
+    /// *captures* the context's [`ExecPolicy`]: every later query runs its
+    /// chunked kernels under that policy, and solutions are bit-identical
+    /// at any thread count (`tests/parallel_parity.rs` enforces this).
     fn prepare_ctx(
         &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
         ctx: &SolverCtx,
-    ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        let _ = (data, space, ctx);
-        Err(RrmError::Unsupported(format!("{} has no prepared (session) mode", self.name())))
+    ) -> Result<Box<dyn PreparedSolver>, RrmError>;
+
+    /// Rank-regret *minimization* (RRM / RRRM): best set of ≤ `r` tuples,
+    /// answered by a freshly prepared handle. Bind the handle yourself
+    /// ([`Solver::prepare_ctx`]) to amortize preparation over many queries.
+    fn solve_rrm_ctx(
+        &self,
+        data: &Dataset,
+        r: usize,
+        space: &dyn UtilitySpace,
+        budget: &Budget,
+        ctx: &SolverCtx,
+    ) -> Result<Solution, RrmError> {
+        self.prepare_ctx(data, space, ctx)?.solve_rrm(r, budget)
+    }
+
+    /// Rank-regret *representative* (RRR): smallest set with regret ≤ `k`,
+    /// answered by a freshly prepared handle (see
+    /// [`Solver::solve_rrm_ctx`]).
+    fn solve_rrr_ctx(
+        &self,
+        data: &Dataset,
+        k: usize,
+        space: &dyn UtilitySpace,
+        budget: &Budget,
+        ctx: &SolverCtx,
+    ) -> Result<Solution, RrmError> {
+        self.prepare_ctx(data, space, ctx)?.solve_rrr(k, budget)
     }
 
     /// Uniform capability check: dimensionality and space restrictions.
-    /// Engines call this once before dispatch so every capability mismatch
-    /// surfaces as the same graceful [`RrmError::Unsupported`].
+    /// Every [`Solver::prepare_ctx`] calls this first, so each capability
+    /// mismatch surfaces as the same graceful [`RrmError::Unsupported`].
     fn ensure_supported(&self, data: &Dataset, space: &dyn UtilitySpace) -> Result<(), RrmError> {
         let dims = self.supported_dims();
         if !dims.contains(data.dim()) {
@@ -259,10 +252,10 @@ pub trait Solver: Send + Sync {
 /// prepared instance can serve concurrent read-only queries (the serving
 /// workload of the paper: many users, one dataset, varying `r`/`k`).
 ///
-/// Implementations must return exactly what the one-shot path returns for
-/// the same query — cached state is a performance contract, not a
-/// different algorithm. `tests/session_parity.rs` enforces this for every
-/// registered solver.
+/// Cached state is a performance contract, not a different algorithm: a
+/// warm handle that has answered other queries must return exactly what a
+/// freshly prepared handle returns for the same query.
+/// `tests/session_parity.rs` enforces this for every registered solver.
 pub trait PreparedSolver: Send + Sync {
     /// Which [`Algorithm`] answered.
     fn algorithm(&self) -> Algorithm;
@@ -328,26 +321,13 @@ pub fn cache_bounded<K: Eq + std::hash::Hash, V: Clone>(
 /// (MDRC, MDRMS): exponential-then-binary search over the size budget
 /// `r`, accepting the smallest `r` whose solution's rank-regret —
 /// *estimated* on a deterministic direction sample — meets the threshold.
+/// `solve_rrm` answers one size probe; prepared solvers pass their
+/// memoized query path, so the whole search reuses cached per-dataset
+/// state.
 ///
 /// The result inherits the inner solver's (lack of) certificate:
 /// `certified_regret` is `None`, because the estimate is not a guarantee.
-pub fn rrr_via_rrm_search(
-    solver: &dyn Solver,
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    budget: &Budget,
-    ctx: &SolverCtx,
-) -> Result<Solution, RrmError> {
-    rrr_via_rrm_search_with(solver.name(), data, k, space, budget, ctx.exec, |r| {
-        solver.solve_rrm_ctx(data, r, space, budget, ctx)
-    })
-}
-
-/// The closure-driven core of [`rrr_via_rrm_search`]: `solve_rrm` answers
-/// one size probe. Prepared solvers pass their memoized query path here so
-/// the whole exponential/binary search reuses cached per-dataset state
-/// while producing exactly the one-shot results. The per-probe regret
+/// The per-probe regret
 /// estimate (the `O(m · n · d)` inner loop) is chunked over `exec`'s
 /// threads; its direction sample is drawn once, sequentially, so the
 /// estimate is identical at any thread count.
@@ -388,7 +368,7 @@ pub fn rrr_via_rrm_search_with(
 
     // Exponential phase: find any feasible size, remembering the largest
     // size already proven infeasible so the binary phase does not re-probe
-    // below it (same scheme as `mdrrr_rrm` and `rrm_via_rrr_2d`).
+    // below it (the same scheme as the MDRRR and 2DRRR searches).
     let mut hi = 1usize;
     let mut largest_infeasible = 0usize;
     let mut feasible: Option<(usize, Solution)> = None;
@@ -549,54 +529,6 @@ impl Solver for BruteForceSolver {
         Algorithm::BruteForce
     }
 
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        if r == 0 {
-            return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
-        }
-        self.check_size(data)?;
-        self.ensure_supported(data, space)?;
-        let solver = self.with_ctx(ctx);
-        let m = budget.samples.unwrap_or(solver.options.samples).max(1);
-        let ranks = solver.rank_table(data, space, m);
-        let (set, regret) = Self::best_subset(&ranks, data.n(), r);
-        Solution::new(set, Some(regret), Algorithm::BruteForce, data)
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        if k == 0 {
-            return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-        }
-        self.check_size(data)?;
-        self.ensure_supported(data, space)?;
-        let solver = self.with_ctx(ctx);
-        let m = budget.samples.unwrap_or(solver.options.samples).max(1);
-        let ranks = solver.rank_table(data, space, m);
-        // Smallest r whose optimum meets the threshold. The full set
-        // always contains each direction's rank-1 tuple, so this
-        // terminates with regret 1 at the latest.
-        for r in 1..=data.n() {
-            let (set, regret) = Self::best_subset(&ranks, data.n(), r);
-            if regret <= k {
-                return Solution::new(set, Some(regret), Algorithm::BruteForce, data);
-            }
-        }
-        Err(RrmError::Internal("brute force failed to reach regret 1 with the full dataset".into()))
-    }
-
     fn prepare_ctx(
         &self,
         data: &Dataset,
@@ -685,7 +617,7 @@ mod tests {
     use super::*;
     use crate::space::{FullSpace, WeakRankingSpace};
 
-    /// The default execution context, for one-shot solves in tests.
+    /// The default execution context, for fresh-handle solves in tests.
     fn ctx() -> SolverCtx {
         SolverCtx::default()
     }
@@ -703,49 +635,22 @@ mod tests {
         .unwrap()
     }
 
-    /// A solver that violates its contract on every RRM call.
-    struct BrokenSolver;
-
-    impl Solver for BrokenSolver {
-        fn algorithm(&self) -> Algorithm {
-            Algorithm::Mdrc
-        }
-        fn solve_rrm_ctx(
-            &self,
-            data: &Dataset,
-            _r: usize,
-            _space: &dyn UtilitySpace,
-            _budget: &Budget,
-            _ctx: &SolverCtx,
-        ) -> Result<Solution, RrmError> {
-            // Empty output: the contract violation Solution::new now types.
-            Solution::new(vec![], None, Algorithm::Mdrc, data)
-        }
-        fn solve_rrr_ctx(
-            &self,
-            data: &Dataset,
-            k: usize,
-            space: &dyn UtilitySpace,
-            budget: &Budget,
-            ctx: &SolverCtx,
-        ) -> Result<Solution, RrmError> {
-            rrr_via_rrm_search(self, data, k, space, budget, ctx)
-        }
-    }
-
     #[test]
     fn rrr_search_propagates_internal_errors() {
         // The RRR-via-RRM fallback must surface a misbehaving inner
         // solver's Internal error, not translate it into "infeasible".
-        let err = BrokenSolver
-            .solve_rrr_ctx(
-                &table1(),
-                3,
-                &FullSpace::new(2),
-                &Budget::with_samples(16),
-                &SolverCtx::default(),
-            )
-            .unwrap_err();
+        let data = table1();
+        let err = rrr_via_rrm_search_with(
+            "broken",
+            &data,
+            3,
+            &FullSpace::new(2),
+            &Budget::with_samples(16),
+            ExecPolicy::default(),
+            // Empty output: the contract violation Solution::new types.
+            |_| Solution::new(vec![], None, Algorithm::Mdrc, &data),
+        )
+        .unwrap_err();
         assert!(matches!(&err, RrmError::Internal(msg) if msg.contains("empty")), "{err}");
     }
 
@@ -862,21 +767,22 @@ mod tests {
     }
 
     #[test]
-    fn prepared_brute_force_matches_one_shot_across_queries() {
+    fn warm_brute_force_handle_matches_fresh_handles() {
         let solver = BruteForceSolver::default();
         let space = FullSpace::new(2);
         let budget = Budget::with_samples(256);
         let prepared = solver.prepare(&table1(), &space).unwrap();
         assert_eq!(prepared.algorithm(), Algorithm::BruteForce);
         assert_eq!(prepared.dataset().n(), 7);
-        // One handle answers many r and k values, identically to one-shot.
+        // One warm handle answers many r and k values, identically to a
+        // fresh handle per call.
         for r in 1..=4 {
-            let one_shot = solver.solve_rrm_ctx(&table1(), r, &space, &budget, &ctx()).unwrap();
-            assert_eq!(prepared.solve_rrm(r, &budget).unwrap(), one_shot, "r={r}");
+            let fresh = solver.solve_rrm_ctx(&table1(), r, &space, &budget, &ctx()).unwrap();
+            assert_eq!(prepared.solve_rrm(r, &budget).unwrap(), fresh, "r={r}");
         }
         for k in 1..=3 {
-            let one_shot = solver.solve_rrr_ctx(&table1(), k, &space, &budget, &ctx()).unwrap();
-            assert_eq!(prepared.solve_rrr(k, &budget).unwrap(), one_shot, "k={k}");
+            let fresh = solver.solve_rrr_ctx(&table1(), k, &space, &budget, &ctx()).unwrap();
+            assert_eq!(prepared.solve_rrr(k, &budget).unwrap(), fresh, "k={k}");
         }
         // Zero parameters stay typed errors on the prepared path too.
         assert!(matches!(prepared.solve_rrm(0, &budget), Err(RrmError::OutputSizeTooSmall { .. })));
@@ -884,7 +790,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_rejects_what_one_shot_rejects() {
+    fn prepare_rejects_unsupported_inputs() {
         // Oversized dataset and capability mismatches fail at prepare time,
         // so a handle that exists can always answer.
         let rows: Vec<[f64; 2]> = (0..50).map(|i| [i as f64, 50.0 - i as f64]).collect();
@@ -895,16 +801,6 @@ mod tests {
             solver.prepare(&table1(), &FullSpace::new(3)),
             Err(RrmError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn default_prepare_reports_no_prepared_mode() {
-        // A custom solver that does not override `prepare` degrades
-        // gracefully instead of panicking.
-        let Err(err) = BrokenSolver.prepare(&table1(), &FullSpace::new(2)) else {
-            panic!("default prepare must not succeed");
-        };
-        assert!(matches!(&err, RrmError::Unsupported(msg) if msg.contains("prepared")), "{err}");
     }
 
     #[test]

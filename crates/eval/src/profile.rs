@@ -155,12 +155,12 @@ mod tests {
     fn good_sets_have_high_coverage() {
         // An HDRRM output with certified k should cover ~everything at k.
         let data = independent(400, 3, 7);
-        let sol = rrm_hd::hdrrm(
+        let sol = rrm_hd::PreparedHdrrm::new(
             &data,
-            8,
             &FullSpace::new(3),
             rrm_hd::HdrrmOptions { m_override: Some(500), ..Default::default() },
         )
+        .and_then(|h| h.solve_rrm(8, &rrm_core::Budget::UNLIMITED))
         .unwrap();
         let k = sol.certified_regret.unwrap();
         let cov = coverage_ratio(&data, &sol.indices, &FullSpace::new(3), k, 5000, 8);

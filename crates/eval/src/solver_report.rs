@@ -47,7 +47,8 @@ fn report(
     }
 }
 
-/// Run an RRM query through the trait and evaluate the result.
+/// Run an RRM query through the trait — a freshly prepared handle, so
+/// `seconds` covers preparation plus the query — and evaluate the result.
 pub fn evaluate_rrm(
     solver: &dyn Solver,
     data: &Dataset,
@@ -63,7 +64,7 @@ pub fn evaluate_rrm(
     Ok(report(&sol, data, space, eval_samples, seed, seconds))
 }
 
-/// Run an RRR query through the trait and evaluate the result.
+/// [`evaluate_rrm`]'s RRR counterpart.
 pub fn evaluate_rrr(
     solver: &dyn Solver,
     data: &Dataset,
@@ -132,20 +133,19 @@ mod tests {
     }
 
     #[test]
-    fn prepared_report_matches_one_shot_report() {
+    fn prepared_report_matches_fresh_handle_report() {
         let data = Dataset::from_rows(&[[0.0, 1.0], [0.57, 0.75], [1.0, 0.0]]).unwrap();
         let solver = BruteForceSolver::default();
         let space = FullSpace::new(2);
-        let one_shot =
-            evaluate_rrm(&solver, &data, 1, &space, &Budget::default(), 2_000, 7).unwrap();
+        let fresh = evaluate_rrm(&solver, &data, 1, &space, &Budget::default(), 2_000, 7).unwrap();
         let prepared = solver.prepare(&data, &space).unwrap();
         let rep = evaluate_rrm_prepared(prepared.as_ref(), 1, &space, &Budget::default(), 2_000, 7)
             .unwrap();
         // Identical everything except wall-clock.
-        assert_eq!(rep.algorithm, one_shot.algorithm);
-        assert_eq!(rep.size, one_shot.size);
-        assert_eq!(rep.certified_regret, one_shot.certified_regret);
-        assert_eq!(rep.estimated_regret, one_shot.estimated_regret);
+        assert_eq!(rep.algorithm, fresh.algorithm);
+        assert_eq!(rep.size, fresh.size);
+        assert_eq!(rep.certified_regret, fresh.certified_regret);
+        assert_eq!(rep.estimated_regret, fresh.estimated_regret);
         let rrr = evaluate_rrr_prepared(prepared.as_ref(), 2, &space, &Budget::default(), 2_000, 7)
             .unwrap();
         assert_eq!(rrr.algorithm, Algorithm::BruteForce);

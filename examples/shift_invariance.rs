@@ -10,7 +10,7 @@
 
 use rank_regret::prelude::*;
 use rrm_eval::{estimate_regret_ratio, exact_rank_regret_2d};
-use rrm_hd::{mdrms, MdrmsOptions};
+use rrm_hd::MdrmsSolver;
 
 fn main() -> Result<(), RrmError> {
     let data = Dataset::from_rows(&[
@@ -39,9 +39,11 @@ fn main() -> Result<(), RrmError> {
     assert_eq!(rrm_a.indices, rrm_b.indices, "Theorem 1: shift invariant");
 
     // RMS via the MDRMS baseline.
-    let rms_opts = MdrmsOptions::default();
-    let rms_a = mdrms(&data, 1, &FullSpace::new(2), rms_opts)?;
-    let rms_b = mdrms(&shifted, 1, &FullSpace::new(2), rms_opts)?;
+    let rms = |d: &Dataset| {
+        MdrmsSolver::default().prepare(d, &FullSpace::new(2))?.solve_rrm(1, &Budget::UNLIMITED)
+    };
+    let rms_a = rms(&data)?;
+    let rms_b = rms(&shifted)?;
     println!(
         "{:<26} {:>10} {:>10}",
         "RMS (regret-ratio)",

@@ -3,16 +3,16 @@
 //!
 //! Every way of running a rank-regret query — the [`minimize`]/
 //! [`represent`] builders, the CLI, the bench harness — expresses the
-//! query as a typed [`Request`] and runs it either one-shot
-//! ([`Engine::run`]) or through a [`Session`], which prepares each
-//! algorithm's dataset-dependent state once ([`Solver::prepare`]) and then
-//! answers arbitrarily many requests cheaply ([`Session::run`],
-//! [`Session::run_batch`]). The engine owns a solver per [`Algorithm`]
-//! variant (indexed by discriminant — lookups are O(1)), resolves the
-//! `Auto` policy (2DRRM when `d = 2`, HDRRM otherwise), checks
-//! capabilities once, and delegates through the trait. Adding an algorithm
-//! means implementing [`Solver`] and registering it here; nothing else in
-//! the stack changes.
+//! query as a typed [`Request`] and answers it through a prepared handle
+//! ([`Solver::prepare`]): either a fresh one per call ([`Engine::run`]) or
+//! the handles a [`Session`] keeps, which build each algorithm's
+//! dataset-dependent state once and then answer arbitrarily many requests
+//! cheaply ([`Session::run`], [`Session::run_batch`]). The engine owns a
+//! solver per [`Algorithm`] variant (indexed by discriminant — lookups are
+//! O(1)), resolves the `Auto` policy (2DRRM when `d = 2`, HDRRM
+//! otherwise), and delegates through the trait, whose `prepare_ctx` checks
+//! capabilities. Adding an algorithm means implementing [`Solver`] and
+//! registering it here; nothing else in the stack changes.
 //!
 //! [`minimize`]: crate::minimize
 //! [`represent`]: crate::represent
@@ -292,8 +292,8 @@ pub struct Tuning {
     pub brute_force: BruteForceOptions,
     /// The sampled-ε approximate tier (default fidelity, direction seed).
     pub sampled: SampledOptions,
-    /// Engine-wide execution policy: every dispatch (one-shot and
-    /// prepared) runs its chunked kernels under this thread budget.
+    /// Engine-wide execution policy: every prepared handle runs its
+    /// chunked kernels under this thread budget.
     /// Results are bit-identical at any setting; the default honours
     /// `RRM_THREADS`, else uses all cores. A per-request
     /// [`Request::exec`] override wins over this.
@@ -381,10 +381,10 @@ impl Engine {
         })
     }
 
-    /// One-shot dispatch for a typed [`Request`]: resolve the algorithm
-    /// (honouring the request's [`Fidelity`]), check its capabilities
-    /// against the data and space, and run the task through the
-    /// [`Solver`] trait. A request-level [`Request::within`] space
+    /// Single-query dispatch for a typed [`Request`]: resolve the algorithm
+    /// (honouring the request's [`Fidelity`]), prepare it against the data
+    /// and space (which checks its capabilities), and answer the task from
+    /// that fresh handle. A request-level [`Request::within`] space
     /// overrides `space`; a [`Request::exec`] policy overrides the
     /// engine's. For repeated queries over one dataset, bind a
     /// [`Session`] instead — it amortizes the per-dataset work this path
@@ -411,7 +411,6 @@ impl Engine {
         let solver = self.solver(algo).ok_or_else(|| {
             RrmError::Unsupported(format!("algorithm {algo} is not registered in this engine"))
         })?;
-        solver.ensure_supported(data, space)?;
         match request.task {
             Task::Minimize { r } => solver.solve_rrm_ctx(data, r, space, &budget, &ctx),
             Task::Represent { k } => solver.solve_rrr_ctx(data, k, space, &budget, &ctx),
@@ -448,6 +447,8 @@ impl Engine {
         let solver = self.solver(algo).ok_or_else(|| {
             RrmError::Unsupported(format!("algorithm {algo} is not registered in this engine"))
         })?;
+        // Check before the reduction: the coreset work is wasted on an
+        // algorithm that cannot run on this data.
         solver.ensure_supported(data, space)?;
         let m = budget.samples.unwrap_or_else(|| spec.directions()).max(1);
         let depth = match request.task {
@@ -532,7 +533,8 @@ fn empty_slots() -> Vec<OnceLock<Result<Arc<dyn PreparedSolver>, RrmError>>> {
 /// use and keeps it for the session's lifetime, so a stream of requests —
 /// the paper's serving workload: one dataset, many users, varying `r`/`k`
 /// — pays each algorithm's per-dataset cost exactly once. Results are
-/// identical to one-shot [`Engine::run`] calls.
+/// identical to [`Engine::run`] calls, which prepare a fresh handle per
+/// request.
 ///
 /// Sessions are `Send + Sync`; share one behind an `&` (or the prepared
 /// handles behind their `Arc`s) and run read-only queries from many
@@ -768,13 +770,15 @@ impl Session {
     /// (approximate fidelity under `Auto` resolves to the prepared
     /// [`Algorithm::Sampled`] handle, so the sampled tier amortizes like
     /// every other algorithm). Two shapes can't use a cached handle and
-    /// run one-shot against the pinned snapshot instead — a per-request
-    /// [`Request::within`] space (handles are built against the session
-    /// space) and approximate fidelity pinned to an exact algorithm (the
-    /// coreset path). Answers are identical either way; only the
-    /// amortization differs. A [`Request::exec`] override is honoured on
-    /// the one-shot path; prepared handles keep the policy they captured
-    /// at prepare time (answers are bit-identical at any setting).
+    /// go through [`Engine::run`] against the pinned snapshot instead,
+    /// which prepares a fresh handle for the one request — a per-request
+    /// [`Request::within`] space (cached handles are built against the
+    /// session space) and approximate fidelity pinned to an exact
+    /// algorithm (the coreset path). Answers are identical either way;
+    /// only the amortization differs. A [`Request::exec`] override is
+    /// honoured on the fresh-handle path; cached handles keep the policy
+    /// they captured at prepare time (answers are bit-identical at any
+    /// setting).
     pub fn run(&self, request: &Request) -> Result<Response, RrmError> {
         let snap = self.current();
         let choice = match (request.fidelity, request.choice) {
@@ -968,7 +972,7 @@ impl<'a> Query<'a> {
         }
     }
 
-    /// Run the query: a thin wrapper over a one-shot [`Session`].
+    /// Run the query: a thin wrapper over a single-use [`Session`].
     pub fn solve(self) -> Result<Solution, RrmError> {
         let request = self.request()?;
         self.session().run(&request).map(|response| response.solution)
@@ -1021,30 +1025,6 @@ mod tests {
         assert_eq!(q.param(), 3);
         assert_eq!(q.choice, AlgoChoice::Fixed(Algorithm::Hdrrm));
         assert_eq!(q.budget.samples, Some(10));
-    }
-
-    #[test]
-    fn session_matches_one_shot_engine_run() {
-        let data = Dataset::from_rows(&[
-            [0.0, 1.0],
-            [0.4, 0.95],
-            [0.57, 0.75],
-            [0.79, 0.6],
-            [0.2, 0.5],
-            [0.35, 0.3],
-            [1.0, 0.0],
-        ])
-        .unwrap();
-        let engine = Engine::new();
-        let session = Session::new(data.clone());
-        for r in 1..=4 {
-            let request = Request::minimize(r);
-            let one_shot = engine.run(&data, &FullSpace::new(2), &request).unwrap();
-            let response = session.run(&request).unwrap();
-            assert_eq!(response.solution, one_shot, "r={r}");
-            assert_eq!(response.request, request);
-            assert!(response.seconds >= 0.0);
-        }
     }
 
     #[test]
@@ -1295,7 +1275,7 @@ mod tests {
             .run(&data, &FullSpace::new(2), &Request::minimize(2).algo(Algorithm::TwoDRrm))
             .unwrap();
         assert_eq!(sol.indices, exact.indices);
-        // Session routes the same shape one-shot; answers agree.
+        // Session routes the same shape to a fresh handle; answers agree.
         let session = Session::new(table1());
         assert_eq!(session.run(&request).unwrap().solution, sol);
     }
@@ -1310,7 +1290,7 @@ mod tests {
         let via_ambient =
             engine.run(&data, &WeakRankingSpace::new(2, 1), &Request::minimize(2)).unwrap();
         assert_eq!(via_request, via_ambient, "within() must equal an ambient-space run");
-        // Sessions route per-request spaces one-shot against the pinned
+        // Sessions route per-request spaces to a fresh handle on the pinned
         // snapshot — same answer as the engine.
         let session = Session::new(data);
         assert_eq!(session.run(&restricted).unwrap().solution, via_request);

@@ -66,10 +66,12 @@
 //! and run read-only queries concurrently (see
 //! `examples/session_reuse.rs`).
 //!
-//! ## One-shot queries
+//! ## Single queries
 //!
 //! For a single ad-hoc query, the [`minimize`]/[`represent`] builders are
-//! thin wrappers that bind a one-shot session behind the scenes:
+//! thin wrappers that bind a single-use session behind the scenes. Every
+//! algorithm answers through its prepared handle either way — there is
+//! no separate one-shot solver path:
 //!
 //! ```
 //! use rank_regret::prelude::*;
@@ -144,15 +146,18 @@
 //! cutoffs. These collapsed into the one fluent [`Request`] builder —
 //! `Request::minimize(r).algo(...).budget(...).cutoff(...).threads(...)
 //! .approx(...)` — which Engine, Session, the serve protocol and the CLI
-//! all construct. Solver implementations take a [`SolverCtx`]; the old
-//! 4-arg trait wrappers are gone. `Query` remains as a thin
+//! all construct. Solver implementations provide one entry point,
+//! `prepare_ctx` under a [`SolverCtx`]; `solve_rrm_ctx`/`solve_rrr_ctx`
+//! are provided on top of it (a fresh handle per call), and the old 4-arg
+//! trait wrappers are gone. `Query` remains as a thin
 //! source-compatibility shim over `Request`.
 //!
 //! ## The engine layer
 //!
 //! [`Engine`] holds one [`Solver`] per [`Algorithm`] variant (indexed by
 //! discriminant — lookups are O(1)). Iterate them, query capabilities,
-//! dispatch a typed request one-shot, or prepare handles yourself:
+//! dispatch a typed request on a fresh handle, or prepare handles
+//! yourself:
 //!
 //! ```
 //! use rank_regret::prelude::*;

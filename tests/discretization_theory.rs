@@ -100,7 +100,10 @@ fn grid_covering_radius_shrinks() {
 /// same percentage, across dataset scales of the same distribution.
 #[test]
 fn percentage_regret_comparable_across_sizes() {
-    use rrm_2d::{rrm_2d, Rrm2dOptions};
+    use rrm_2d::{Prepared2d, Rrm2dOptions};
+    let rrm_2d = |data: &Dataset, r: usize, space: &FullSpace, options: Rrm2dOptions| {
+        Prepared2d::new(data, space, options).and_then(|h| h.solve_rrm(r))
+    };
     // The arc construction scales regret linearly with n (Theorem 2), the
     // setting where absolute rank-regret misleads across dataset sizes.
     let small = rrm_data::synthetic::lower_bound_arc(2_000, 2);

@@ -2,14 +2,64 @@
 //! findings of the paper's Figures 13–21: HDRRM certifies its regret and
 //! beats the no-guarantee baselines; MDRMS optimizes the wrong objective.
 
-use rank_regret::{Dataset, FullSpace, WeakRankingSpace};
+use rank_regret::{
+    Budget, Dataset, FullSpace, RrmError, Solution, Solver, SolverCtx, UtilitySpace,
+    WeakRankingSpace,
+};
 use rrm_data::synthetic::{anticorrelated, independent};
 use rrm_eval::{estimate_rank_regret, estimate_regret_ratio};
 use rrm_hd::{
-    hdrrm, mdrc, mdrms, mdrrr_r_rrm, HdrrmOptions, MdrcOptions, MdrmsOptions, MdrrrROptions,
+    HdrrmOptions, HdrrmSolver, MdrcOptions, MdrcSolver, MdrmsOptions, MdrmsSolver, MdrrrROptions,
+    MdrrrRSolver,
 };
 
 const SAMPLES: usize = 30_000;
+
+/// One RRM solve through the solver trait (a freshly prepared handle).
+fn solve(
+    solver: &dyn Solver,
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+) -> Result<Solution, RrmError> {
+    solver.solve_rrm_ctx(data, r, space, &Budget::UNLIMITED, &SolverCtx::default())
+}
+
+fn hdrrm(
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+    opts: HdrrmOptions,
+) -> Result<Solution, RrmError> {
+    solve(&HdrrmSolver::new(opts), data, r, space)
+}
+
+fn mdrc(
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+    opts: MdrcOptions,
+) -> Result<Solution, RrmError> {
+    solve(&MdrcSolver::new(opts), data, r, space)
+}
+
+fn mdrms(
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+    opts: MdrmsOptions,
+) -> Result<Solution, RrmError> {
+    solve(&MdrmsSolver::new(opts), data, r, space)
+}
+
+fn mdrrr_r_rrm(
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+    opts: MdrrrROptions,
+) -> Result<Solution, RrmError> {
+    solve(&MdrrrRSolver::new(opts), data, r, space)
+}
 
 fn measured_regret(data: &Dataset, set: &[u32], seed: u64) -> usize {
     estimate_rank_regret(data, set, &FullSpace::new(data.dim()), SAMPLES, seed).max_rank

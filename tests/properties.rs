@@ -2,10 +2,31 @@
 //! multiple crates (proptest).
 
 use proptest::prelude::*;
-use rank_regret::{Dataset, FullSpace};
-use rrm_2d::{rrm_2d, rrr_exact_2d, Rrm2dOptions};
+use rank_regret::{Dataset, FullSpace, RrmError, Solution, UtilitySpace};
+use rrm_2d::{Prepared2d, Rrm2dOptions};
 use rrm_eval::exact_rank_regret_2d;
 use rrm_skyline::skyline;
+
+/// Exact 2DRRM on a freshly prepared handle.
+fn rrm_2d(
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+    options: Rrm2dOptions,
+) -> Result<Solution, RrmError> {
+    Prepared2d::new(data, space, options)?.solve_rrm(r)
+}
+
+/// Exact RRR (binary search over the 2DRRM DP) on a freshly prepared
+/// handle.
+fn rrr_exact_2d(
+    data: &Dataset,
+    k: usize,
+    space: &dyn UtilitySpace,
+    options: Rrm2dOptions,
+) -> Result<Solution, RrmError> {
+    Prepared2d::new(data, space, options)?.solve_rrr(k)
+}
 
 /// Strategy: a small 2D dataset with values on a fine grid (exact-float
 /// arithmetic keeps comparisons deterministic without being degenerate).

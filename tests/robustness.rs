@@ -1,10 +1,30 @@
 //! Failure injection and degenerate-input robustness across the pipeline.
 
 use rank_regret::prelude::*;
-use rrm_2d::{rrm_2d, Rrm2dOptions};
+use rrm_2d::{Prepared2d, Rrm2dOptions};
 use rrm_data::jitter;
 use rrm_eval::exact_rank_regret_2d;
-use rrm_hd::{hdrrm, HdrrmOptions};
+use rrm_hd::{HdrrmOptions, PreparedHdrrm};
+
+/// Exact 2DRRM on a freshly prepared handle.
+fn rrm_2d(
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+    options: Rrm2dOptions,
+) -> Result<Solution, RrmError> {
+    Prepared2d::new(data, space, options)?.solve_rrm(r)
+}
+
+/// HDRRM on a freshly prepared handle.
+fn hdrrm(
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+    options: HdrrmOptions,
+) -> Result<Solution, RrmError> {
+    PreparedHdrrm::new(data, space, options)?.solve_rrm(r, &Budget::UNLIMITED)
+}
 
 fn quick_hd() -> HdrrmOptions {
     HdrrmOptions { m_override: Some(300), ..Default::default() }

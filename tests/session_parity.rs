@@ -1,40 +1,41 @@
-//! Session parity: the prepare-once / query-many path must return
-//! *exactly* what the one-shot engine path returns — for every registered
+//! Session parity: a warm session, whose prepared handles are reused
+//! across queries, must return *exactly* what a freshly prepared handle
+//! returns for each query ([`Engine::run`]) — for every registered
 //! algorithm, across repeated queries with varying `r`/`k`, over seeded
 //! random datasets, and under concurrent access to a shared [`Session`].
 //!
 //! Preparation is a caching contract, never an approximation; these tests
-//! are the enforcement.
+//! are the enforcement of the prepared handles' memo correctness.
 
 use rank_regret::prelude::*;
 use rank_regret::rrm_data::synthetic::independent;
 use rank_regret::AlgoChoice;
 
-/// Budget shared by both paths: sample counts keep the randomized solvers
+/// Budget shared by both sides: sample counts keep the randomized solvers
 /// fast, the enumeration/LP caps keep MDRRR's exact k-set enumeration
 /// bounded in debug builds, and — being part of the request — the budget
-/// exercises the per-budget caching of the prepared path. Parity is
-/// unaffected: both paths see the identical caps.
+/// exercises the per-budget caching of the warm handles. Parity is
+/// unaffected: both sides see the identical caps.
 fn budget() -> Budget {
     Budget {
         samples: Some(500),
         max_enumerations: Some(500),
         // Debug-profile LPs cost ~50ms each at these sizes; a tight cap
         // keeps MDRRR's enumeration bounded. Completeness is not under
-        // test here — parity is, and both paths see the identical cap.
+        // test here — parity is, and both sides see the identical cap.
         max_lp_calls: Some(150),
         ..Budget::UNLIMITED
     }
 }
 
-/// One-shot result via the engine, as `Result` so error parity is checked
-/// alongside solution parity.
-fn one_shot(engine: &Engine, data: &Dataset, request: &Request) -> Result<Solution, RrmError> {
+/// Fresh-handle result via the engine, as `Result` so error parity is
+/// checked alongside solution parity.
+fn fresh(engine: &Engine, data: &Dataset, request: &Request) -> Result<Solution, RrmError> {
     engine.run(data, &FullSpace::new(data.dim()), request)
 }
 
 #[test]
-fn prepared_path_matches_one_shot_for_all_algorithms_2d() {
+fn warm_session_matches_fresh_handles_for_all_algorithms_2d() {
     // d = 2 is the one dimensionality every algorithm supports (brute
     // force caps n at 20), so this covers the full registry.
     let engine = Engine::new();
@@ -49,7 +50,7 @@ fn prepared_path_matches_one_shot_for_all_algorithms_2d() {
                 Request::represent(1).algo(algo).budget(budget()),
                 Request::represent(3).algo(algo).budget(budget()),
             ] {
-                let expected = one_shot(&engine, &data, &request);
+                let expected = fresh(&engine, &data, &request);
                 let got = session.run(&request).map(|resp| resp.solution);
                 assert_eq!(got, expected, "seed {seed}, {algo}, {request:?}");
             }
@@ -58,7 +59,7 @@ fn prepared_path_matches_one_shot_for_all_algorithms_2d() {
 }
 
 #[test]
-fn prepared_path_matches_one_shot_in_higher_dimensions() {
+fn warm_session_matches_fresh_handles_in_higher_dimensions() {
     let engine = Engine::new();
     for seed in [7u64] {
         let data = independent(20, 3, seed);
@@ -70,14 +71,14 @@ fn prepared_path_matches_one_shot_in_higher_dimensions() {
                 Request::represent(3).algo(algo).budget(budget()),
                 Request::represent(8).algo(algo).budget(budget()),
             ] {
-                let expected = one_shot(&engine, &data, &request);
+                let expected = fresh(&engine, &data, &request);
                 let got = session.run(&request).map(|resp| resp.solution);
                 assert_eq!(got, expected, "seed {seed}, {algo}, {request:?}");
             }
         }
         // MDRRR separately, on a smaller instance: its LP cost per
-        // feasibility check grows with k·(n−k) rows and the one-shot side
-        // of this comparison re-enumerates per probe.
+        // feasibility check grows with k·(n−k) rows and the fresh-handle
+        // side of this comparison re-enumerates per query.
         let data = independent(13, 3, seed);
         let session = Session::new(data.clone());
         for request in [
@@ -86,7 +87,7 @@ fn prepared_path_matches_one_shot_in_higher_dimensions() {
             Request::represent(2).algo(Algorithm::Mdrrr).budget(budget()),
             Request::represent(5).algo(Algorithm::Mdrrr).budget(budget()),
         ] {
-            let expected = one_shot(&engine, &data, &request);
+            let expected = fresh(&engine, &data, &request);
             let got = session.run(&request).map(|resp| resp.solution);
             assert_eq!(got, expected, "seed {seed}, MDRRR, {request:?}");
         }
@@ -96,7 +97,7 @@ fn prepared_path_matches_one_shot_in_higher_dimensions() {
 #[test]
 fn one_prepared_handle_answers_many_parameters() {
     // A single PreparedSolver queried with a sweep of r and k values must
-    // track fresh one-shot runs at every point — out of order, repeated,
+    // track fresh handles at every point — out of order, repeated,
     // and interleaved between the two problem directions.
     let engine = Engine::new();
     let data = independent(120, 2, 42);
@@ -105,12 +106,12 @@ fn one_prepared_handle_answers_many_parameters() {
     let b = Budget::UNLIMITED;
     for r in [5usize, 1, 3, 5, 2] {
         let expected =
-            one_shot(&engine, &data, &Request::minimize(r).algo(Algorithm::TwoDRrm)).unwrap();
+            fresh(&engine, &data, &Request::minimize(r).algo(Algorithm::TwoDRrm)).unwrap();
         assert_eq!(prepared.solve_rrm(r, &b).unwrap(), expected, "r={r}");
     }
     for k in [4usize, 1, 2, 4] {
         let expected =
-            one_shot(&engine, &data, &Request::represent(k).algo(Algorithm::TwoDRrm)).unwrap();
+            fresh(&engine, &data, &Request::represent(k).algo(Algorithm::TwoDRrm)).unwrap();
         assert_eq!(prepared.solve_rrr(k, &b).unwrap(), expected, "k={k}");
     }
 }
@@ -243,7 +244,7 @@ fn batch_isolates_unsupported_capability_errors() {
 #[test]
 fn facade_builders_ride_the_session_path() {
     // minimize()/represent() are documented as thin wrappers over a
-    // one-shot session; their results must equal explicit session runs.
+    // single-use session; their results must equal explicit session runs.
     let data = independent(80, 2, 5);
     let via_builder = rank_regret::minimize(&data).size(3).solve().unwrap();
     let via_session = rank_regret::session(&data).run(&Request::minimize(3)).unwrap().solution;

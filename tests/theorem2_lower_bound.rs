@@ -2,10 +2,20 @@
 //! Ω(n/r). The quarter-arc construction makes the bound concrete, and the
 //! exact 2D solver lets us verify it against the true optimum.
 
-use rank_regret::FullSpace;
-use rrm_2d::{rrm_2d, Rrm2dOptions};
+use rank_regret::{Dataset, FullSpace, RrmError, Solution, UtilitySpace};
+use rrm_2d::{Prepared2d, Rrm2dOptions};
 use rrm_data::synthetic::lower_bound_arc;
 use rrm_eval::estimate_rank_regret_seq;
+
+/// Exact 2DRRM on a freshly prepared handle.
+fn rrm_2d(
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+    options: Rrm2dOptions,
+) -> Result<Solution, RrmError> {
+    Prepared2d::new(data, space, options)?.solve_rrm(r)
+}
 
 #[test]
 fn arc_optimum_scales_like_n_over_r() {
