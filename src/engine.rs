@@ -1028,6 +1028,30 @@ mod tests {
     }
 
     #[test]
+    fn session_matches_one_shot_engine_run() {
+        let data = Dataset::from_rows(&[
+            [0.0, 1.0],
+            [0.4, 0.95],
+            [0.57, 0.75],
+            [0.79, 0.6],
+            [0.2, 0.5],
+            [0.35, 0.3],
+            [1.0, 0.0],
+        ])
+        .unwrap();
+        let engine = Engine::new();
+        let session = Session::new(data.clone());
+        for r in 1..=4 {
+            let request = Request::minimize(r);
+            let one_shot = engine.run(&data, &FullSpace::new(2), &request).unwrap();
+            let response = session.run(&request).unwrap();
+            assert_eq!(response.solution, one_shot, "r={r}");
+            assert_eq!(response.request, request);
+            assert!(response.seconds >= 0.0);
+        }
+    }
+
+    #[test]
     fn session_batch_isolates_per_request_failures() {
         let data = Dataset::from_rows(&[[0.0, 1.0], [0.57, 0.75], [1.0, 0.0]]).unwrap();
         let session = Session::new(data);
