@@ -162,6 +162,6 @@ mod tests {
             .unwrap();
         assert!(sol.certified_regret.unwrap() <= 3); // 2k-1
         assert_eq!(sol.algorithm, Algorithm::TwoDRrr);
-        assert!(!solver.supports_restricted_space());
+        assert!(!solver.algorithm().supports_restricted_space());
     }
 }

@@ -630,12 +630,12 @@ mod tests {
 
     #[test]
     fn capability_queries_mirror_the_enum() {
-        assert!(HdrrmSolver::default().has_regret_guarantee());
-        assert!(MdrrrSolver::default().has_regret_guarantee());
-        assert!(!MdrcSolver::default().has_regret_guarantee());
-        assert!(!MdrmsSolver::default().has_regret_guarantee());
-        assert!(MdrrrRSolver::default().supports_restricted_space());
-        assert!(!MdrcSolver::default().supports_restricted_space());
+        assert!(HdrrmSolver::default().algorithm().has_regret_guarantee());
+        assert!(MdrrrSolver::default().algorithm().has_regret_guarantee());
+        assert!(!MdrcSolver::default().algorithm().has_regret_guarantee());
+        assert!(!MdrmsSolver::default().algorithm().has_regret_guarantee());
+        assert!(MdrrrRSolver::default().algorithm().supports_restricted_space());
+        assert!(!MdrcSolver::default().algorithm().supports_restricted_space());
     }
 
     #[test]

@@ -187,8 +187,8 @@ fn table1() {
         println!("{:>4} {:>6.2} {:>6.2} {:>11} {:>12.0}%", i + 1, row[0], row[1], k, 100.0 * ratio);
     }
     let engine = Scale::Full.engine();
-    let exact = engine.solver(Algorithm::TwoDRrm).expect("registered");
-    let rms_solver = engine.solver(Algorithm::Mdrms).expect("registered");
+    let exact = engine.solver(Algorithm::TwoDRrm);
+    let rms_solver = engine.solver(Algorithm::Mdrms);
     let space = FullSpace::new(2);
     let budget = Budget::UNLIMITED;
     let rrm = exact.solve_rrm_ctx(&data, 1, &space, &budget, &SolverCtx::default()).unwrap();
@@ -269,7 +269,7 @@ fn table3() {
 fn theorem2() {
     println!("{:>8} {:>4} {:>14} {:>14}", "n", "r", "optimal regret", "n/(2(r+1))");
     let engine = Scale::Full.engine();
-    let exact = engine.solver(Algorithm::TwoDRrm).expect("registered");
+    let exact = engine.solver(Algorithm::TwoDRrm);
     for &(n, r) in &[(200usize, 3usize), (400, 4), (800, 5), (1600, 5)] {
         let data = lower_bound_arc(n, 2);
         let sol = exact
@@ -291,8 +291,8 @@ fn two_d_rows(data: &Dataset, r: usize) -> (f64, f64, usize, usize) {
     let space = FullSpace::new(2);
     let budget = Budget::UNLIMITED;
     let engine = Scale::Full.engine();
-    let exact = engine.solver(Algorithm::TwoDRrm).expect("registered");
-    let baseline = engine.solver(Algorithm::TwoDRrr).expect("registered");
+    let exact = engine.solver(Algorithm::TwoDRrm);
+    let baseline = engine.solver(Algorithm::TwoDRrr);
     let (a, ta) =
         timed(|| exact.solve_rrm_ctx(data, r, &space, &budget, &SolverCtx::default()).unwrap());
     let (b, tb) =
@@ -404,7 +404,7 @@ fn hd_row(
     roster
         .iter()
         .map(|&algo| {
-            let solver = engine.solver(algo).expect("every algorithm is registered");
+            let solver = engine.solver(algo);
             measure_solver(solver, data, r, space, samples)
         })
         .collect()
@@ -801,7 +801,7 @@ fn amortize(scale: Scale) {
     );
     let mut entries: Vec<Entry> = Vec::new();
     for (algo, data, sizes, budget) in &workloads {
-        let solver = engine.solver(*algo).expect("registered");
+        let solver = engine.solver(*algo);
         let space = FullSpace::new(data.dim());
 
         // One-shot: every query prepares a fresh handle, re-deriving the
@@ -831,7 +831,7 @@ fn amortize(scale: Scale) {
         let speedup = one_shot_seconds / prepared_query_seconds.max(1e-9);
         println!(
             "{:<11} {:>5} {:>2} {:>4} {:>12.4} {:>12.4} {:>12.4} {:>8.1}x",
-            solver.name(),
+            algo.name(),
             data.n(),
             data.dim(),
             sizes.len(),
@@ -841,7 +841,7 @@ fn amortize(scale: Scale) {
             speedup,
         );
         entries.push(Entry {
-            algorithm: solver.name(),
+            algorithm: algo.name(),
             n: data.n(),
             d: data.dim(),
             queries: sizes.len(),
@@ -992,11 +992,8 @@ fn thread_scaling(scale: Scale) {
                 ..Default::default()
             };
             let engine = Engine::with_tuning(&tuning);
-            let (prepared, prep_s) = timed(|| {
-                engine
-                    .prepare(rank_regret::AlgoChoice::Fixed(*algo), data, &space)
-                    .expect("prepare")
-            });
+            let (prepared, prep_s) =
+                timed(|| engine.prepare(*algo, data, &space).expect("prepare"));
             let (results, query_s) = timed(|| {
                 sizes
                     .iter()

@@ -143,9 +143,9 @@ pub fn measure_solver(
 ) -> Outcome {
     let report =
         rrm_eval::evaluate_rrm(solver, data, r, space, &Budget::UNLIMITED, eval_samples, 0xE7A1)
-            .unwrap_or_else(|e| panic!("{}: {e}", solver.name()));
+            .unwrap_or_else(|e| panic!("{}: {e}", solver.algorithm()));
     Outcome {
-        algorithm: solver.name(),
+        algorithm: solver.algorithm().name(),
         seconds: report.seconds,
         prepare_seconds: 0.0,
         query_seconds: report.seconds,
@@ -168,9 +168,9 @@ pub fn measure_prepared(
     prepare_seconds: f64,
 ) -> Outcome {
     let report = rrm_eval::evaluate_rrm_prepared(prepared, r, space, budget, eval_samples, 0xE7A1)
-        .unwrap_or_else(|e| panic!("{}: {e}", prepared.name()));
+        .unwrap_or_else(|e| panic!("{}: {e}", prepared.algorithm()));
     Outcome {
-        algorithm: prepared.name(),
+        algorithm: prepared.algorithm().name(),
         seconds: prepare_seconds + report.seconds,
         prepare_seconds,
         query_seconds: report.seconds,
@@ -206,7 +206,7 @@ mod tests {
     fn measure_solver_goes_through_the_trait() {
         let data = rrm_data::synthetic::independent(100, 2, 0);
         let engine = Scale::Quick.engine();
-        let solver = engine.solver(rrm_core::Algorithm::TwoDRrm).unwrap();
+        let solver = engine.solver(rrm_core::Algorithm::TwoDRrm);
         let out = measure_solver(solver, &data, 3, &FullSpace::new(2), 500);
         assert_eq!(out.algorithm, "2DRRM");
         assert!(out.size <= 3);
@@ -221,7 +221,7 @@ mod tests {
     fn measure_prepared_splits_the_timing() {
         let data = rrm_data::synthetic::independent(100, 2, 0);
         let engine = Scale::Quick.engine();
-        let solver = engine.solver(rrm_core::Algorithm::TwoDRrm).unwrap();
+        let solver = engine.solver(rrm_core::Algorithm::TwoDRrm);
         let (prepared, prep_secs) =
             timed(|| solver.prepare(&data, &FullSpace::new(2)).expect("preparable"));
         let out = measure_prepared(
@@ -246,8 +246,7 @@ mod tests {
     fn scale_engine_resolves_every_algorithm() {
         let engine = Scale::Quick.engine();
         for algo in rrm_core::Algorithm::ALL {
-            let solver = engine.solver(algo).unwrap_or_else(|| panic!("{algo} missing"));
-            assert_eq!(solver.algorithm(), algo);
+            assert_eq!(engine.solver(algo).algorithm(), algo);
         }
     }
 

@@ -135,26 +135,6 @@ pub trait Solver: Send + Sync {
     /// Which [`Algorithm`] this solver implements.
     fn algorithm(&self) -> Algorithm;
 
-    /// Display name (the paper's spelling, e.g. `MDRRRr`).
-    fn name(&self) -> &'static str {
-        self.algorithm().name()
-    }
-
-    /// Does the solver certify a rank-regret bound for its output?
-    fn has_regret_guarantee(&self) -> bool {
-        self.algorithm().has_regret_guarantee()
-    }
-
-    /// Can the solver handle restricted utility spaces (RRRM)?
-    fn supports_restricted_space(&self) -> bool {
-        self.algorithm().supports_restricted_space()
-    }
-
-    /// Accepted dataset dimensionalities.
-    fn supported_dims(&self) -> DimRange {
-        self.algorithm().supported_dims()
-    }
-
     /// Bind this solver to one dataset + utility space, building all the
     /// dataset-dependent state (Pareto frontiers, discretization grids,
     /// candidate pools, ...) **once** so that many queries with varying
@@ -222,21 +202,22 @@ pub trait Solver: Send + Sync {
     /// Every [`Solver::prepare_ctx`] calls this first, so each capability
     /// mismatch surfaces as the same graceful [`RrmError::Unsupported`].
     fn ensure_supported(&self, data: &Dataset, space: &dyn UtilitySpace) -> Result<(), RrmError> {
-        let dims = self.supported_dims();
+        let algo = self.algorithm();
+        let dims = algo.supported_dims();
         if !dims.contains(data.dim()) {
             return Err(RrmError::Unsupported(format!(
                 "{} requires {dims}, got d = {}",
-                self.name(),
+                algo.name(),
                 data.dim()
             )));
         }
         if space.dim() != data.dim() {
             return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
         }
-        if !space.is_full() && !self.supports_restricted_space() {
+        if !space.is_full() && !algo.supports_restricted_space() {
             return Err(RrmError::Unsupported(format!(
                 "{} does not support restricted utility spaces (Table III)",
-                self.name()
+                algo.name()
             )));
         }
         Ok(())
@@ -268,11 +249,6 @@ pub trait PreparedSolver: Send + Sync {
 
     /// Rank-regret *representative* for one threshold `k`.
     fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError>;
-
-    /// Display name (the paper's spelling).
-    fn name(&self) -> &'static str {
-        self.algorithm().name()
-    }
 
     /// Incrementally rebind this handle to the post-update dataset,
     /// patching cached state instead of re-deriving it from scratch.

@@ -55,7 +55,9 @@ pub trait UtilitySpace: Send + Sync {
         false
     }
 
-    /// Short human-readable label for reports.
+    /// Human-readable label that names every parameter defining the
+    /// space, so two spaces with equal labels are the same space (spaces
+    /// carry no structural equality of their own; callers compare labels).
     fn label(&self) -> String;
 
     /// Clone into an owned trait object. Prepared solvers keep the space
@@ -185,7 +187,7 @@ impl UtilitySpace for ConeSpace {
     }
 
     fn label(&self) -> String {
-        format!("cone ({} rows, d={})", self.rows.len(), self.d)
+        format!("cone (rows {:?}, d={})", self.rows, self.d)
     }
 
     fn clone_box(&self) -> Box<dyn UtilitySpace> {
@@ -371,7 +373,7 @@ impl UtilitySpace for BoxSpace {
     }
 
     fn label(&self) -> String {
-        format!("weight box (d={})", self.dim())
+        format!("weight box (lo {:?}, hi {:?}, d={})", self.lo, self.hi, self.dim())
     }
 
     fn clone_box(&self) -> Box<dyn UtilitySpace> {
@@ -446,7 +448,12 @@ impl UtilitySpace for SphereCap {
     }
 
     fn label(&self) -> String {
-        format!("sphere cap (d={})", self.dim())
+        format!(
+            "sphere cap (center {:?}, cos alpha={:?}, d={})",
+            self.center,
+            self.cos_alpha,
+            self.dim()
+        )
     }
 
     fn clone_box(&self) -> Box<dyn UtilitySpace> {
@@ -522,7 +529,12 @@ impl UtilitySpace for BiasedOrthantSpace {
     }
 
     fn label(&self) -> String {
-        format!("biased orthant (kappa={}, d={})", self.kappa, self.dim())
+        format!(
+            "biased orthant (center {:?}, kappa={:?}, d={})",
+            self.center,
+            self.kappa,
+            self.dim()
+        )
     }
 
     fn clone_box(&self) -> Box<dyn UtilitySpace> {

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use rank_regret::rrm_core::kernel::{for_each_scores, ScoreScratch};
 use rank_regret::{
-    Algorithm, Budget, Cutoff, Engine, ExecPolicy, Request, RrmError, TerminatedBy, UpdateOp,
+    Algorithm, Budget, Cutoff, ExecPolicy, Request, RrmError, TerminatedBy, UpdateOp,
 };
 
 use crate::json::Json;
@@ -114,26 +114,13 @@ pub fn effective_budget(
     }
 }
 
-/// The algorithm a wire request resolves to on a `dims`-dimensional
-/// tenant: the explicit `algo` field, else the sampled tier when the
-/// request asks for approximate fidelity, else the engine's auto policy.
-/// Used to decide whether a deadline can become an in-solve cutoff.
-pub fn resolved_algorithm(wire: &WireRequest, dims: usize) -> Algorithm {
-    wire.algo.unwrap_or_else(|| {
-        if wire.approx.is_some() {
-            Algorithm::Sampled
-        } else {
-            Engine::auto_policy(dims)
-        }
-    })
-}
-
 /// The in-process [`Request`] a wire request denotes on this server.
 /// Both the dispatch path and the replay harness build requests through
 /// here, so served answers are bit-identical to in-process answers by
 /// construction. `None` for non-query ops.
 ///
-/// A deadline on a cuttable algorithm additionally becomes an in-solve
+/// A deadline on a cuttable algorithm (as the request resolves it on a
+/// `dims`-dimensional tenant) additionally becomes an in-solve
 /// [`Cutoff::TimeBudget`] over the *full* deadline — a deterministic
 /// field of the request, even though when it fires is wall-clock. A `gap`
 /// target becomes [`Cutoff::GapAtMost`] on cuttable algorithms, but a
@@ -145,16 +132,17 @@ pub fn effective_request(
     n_tuples: usize,
     dims: usize,
 ) -> Option<Request> {
-    let mut budget = effective_budget(calib, n_tuples, wire.deadline_ms, wire.samples);
-    if resolved_algorithm(wire, dims).is_cuttable() {
+    let budget = effective_budget(calib, n_tuples, wire.deadline_ms, wire.samples);
+    let mut request = wire.to_request(budget)?;
+    if request.resolved_algorithm(dims).is_cuttable() {
         if let Some(gap) = wire.gap {
-            budget.cutoff = Cutoff::GapAtMost(gap);
+            request.budget.cutoff = Cutoff::GapAtMost(gap);
         }
         if let Some(ms) = wire.deadline_ms {
-            budget.cutoff = Cutoff::TimeBudget(Duration::from_millis(ms));
+            request.budget.cutoff = Cutoff::TimeBudget(Duration::from_millis(ms));
         }
     }
-    wire.to_request(budget)
+    Some(request)
 }
 
 /// Server construction knobs.
@@ -163,7 +151,7 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (read it back from
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Query worker threads. `0` is allowed and means *no* query ever
+    /// Worker threads that run queries. `0` is allowed and means *no* query ever
     /// dispatches — admission and `stats` still answer, which makes
     /// overload behaviour deterministic in tests.
     pub workers: usize,
@@ -359,6 +347,11 @@ fn accept_loop(
     }
 }
 
+/// Longest request line a connection may buffer. A client that sends
+/// more than this without a newline gets `bad_request` and is
+/// disconnected, so an unterminated line cannot grow memory unboundedly.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Read newline-delimited requests off one connection. Hand-rolled line
 /// framing over a 50 ms read timeout so the thread notices shutdown
 /// without a poll/epoll dependency; partial lines survive timeouts.
@@ -378,6 +371,12 @@ fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
             if !line.trim().is_empty() {
                 handle_line(shared, &writer, line.trim());
             }
+        }
+        if buf.len() > MAX_LINE_BYTES {
+            let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes without a newline");
+            writer.send(&error_response(&None, ErrorKind::BadRequest, &msg, None));
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
         }
         if shared.shutdown.load(Ordering::Acquire) {
             let _ = stream.shutdown(Shutdown::Both);
@@ -536,7 +535,9 @@ fn serve_job(shared: &Shared, job: Job) {
         (data.n(), data.dim())
     };
     let aged_out = job.wire.deadline_ms.is_some_and(|ms| queued_us >= ms.saturating_mul(1000));
-    let cuttable = resolved_algorithm(&job.wire, dims).is_cuttable();
+    let mut request = effective_request(&job.wire, shared.calibration, n_tuples, dims)
+        .expect("only query ops are enqueued");
+    let cuttable = request.resolved_algorithm(dims).is_cuttable();
 
     let outcome = if aged_out && !cuttable {
         let ms = job.wire.deadline_ms.expect("aged_out implies a deadline");
@@ -549,8 +550,6 @@ fn serve_job(shared: &Shared, job: Job) {
             ])),
         ))
     } else {
-        let mut request = effective_request(&job.wire, shared.calibration, n_tuples, dims)
-            .expect("only query ops are enqueued");
         if aged_out {
             // The whole deadline was burned queueing. The anytime solver
             // still runs, under an already-expired cutoff: it offers its
@@ -667,11 +666,9 @@ mod tests {
         let r = effective_request(&wire(Some(Algorithm::Hdrrm), Some(25)), CALIB, 100, 4).unwrap();
         assert_eq!(r.budget.cutoff, Cutoff::TimeBudget(Duration::from_millis(25)));
         // Auto on 3 dims resolves to HDRRM (cuttable)...
-        assert_eq!(resolved_algorithm(&wire(None, None), 3), Algorithm::Hdrrm);
         let r = effective_request(&wire(None, Some(25)), CALIB, 100, 3).unwrap();
         assert_eq!(r.budget.cutoff, Cutoff::TimeBudget(Duration::from_millis(25)));
         // ...but on 2 dims to the exact planar solver, which is not.
-        assert_eq!(resolved_algorithm(&wire(None, None), 2), Algorithm::TwoDRrm);
         let r = effective_request(&wire(None, Some(25)), CALIB, 100, 2).unwrap();
         assert_eq!(r.budget.cutoff, Cutoff::None);
         // No deadline: no cutoff, even for cuttable algorithms — and the
@@ -703,6 +700,15 @@ mod tests {
         assert_eq!(r.budget.cutoff, Cutoff::GapAtMost(0.1));
         // Non-cuttable (exact 2D) ignores the gap.
         let r = effective_request(&wire(None, Some(0.1), None), CALIB, 100, 2).unwrap();
+        assert_eq!(r.budget.cutoff, Cutoff::None);
+        // Approximate fidelity under Auto resolves to the sampled tier,
+        // which is not cuttable either — even on 3 dims.
+        let approx = WireRequest {
+            approx: Some(rank_regret::ApproxSpec { eps: 0.1, delta: 0.05 }),
+            ..wire(None, Some(0.1), None)
+        };
+        let r = effective_request(&approx, CALIB, 100, 3).unwrap();
+        assert_eq!(r.resolved_algorithm(3), Algorithm::Sampled);
         assert_eq!(r.budget.cutoff, Cutoff::None);
         // A deadline outranks the gap: the wall-clock bound protects the
         // server.

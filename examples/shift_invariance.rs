@@ -28,8 +28,9 @@ fn main() -> Result<(), RrmError> {
     println!("{:<26} {:>10} {:>10}", "query (r = 1)", "original", "shifted");
 
     // RRM via the exact 2D solver.
-    let rrm_a = rank_regret::minimize(&data).size(1).solve()?;
-    let rrm_b = rank_regret::minimize(&shifted).size(1).solve()?;
+    let rrm = |d: &Dataset| Session::new(d.clone()).run(&Request::minimize(1));
+    let rrm_a = rrm(&data)?.solution;
+    let rrm_b = rrm(&shifted)?.solution;
     println!(
         "{:<26} {:>10} {:>10}",
         "RRM (rank-regret)",

@@ -23,8 +23,9 @@ fn main() -> Result<(), RrmError> {
     }
 
     // Direct threshold queries (exact RRR).
+    let session = Session::new(data);
     for k in [1usize, 5, 20] {
-        let sol = rank_regret::represent(&data).threshold(k).solve()?;
+        let sol = session.run(&Request::represent(k))?.solution;
         println!("\nguarantee top-{k} for everyone -> {} tuples: {:?}", sol.size(), sol.indices);
         // Consistency with the frontier: the minimal size whose frontier
         // regret meets the threshold.

@@ -1,21 +1,23 @@
 //! The engine layer: one registry of [`Solver`]s, one dispatch path, and
 //! the [`Session`] that binds it all to a dataset.
 //!
-//! Every way of running a rank-regret query — the [`minimize`]/
-//! [`represent`] builders, the CLI, the bench harness — expresses the
-//! query as a typed [`Request`] and answers it through a prepared handle
-//! ([`Solver::prepare`]): either a fresh one per call ([`Engine::run`]) or
-//! the handles a [`Session`] keeps, which build each algorithm's
-//! dataset-dependent state once and then answer arbitrarily many requests
-//! cheaply ([`Session::run`], [`Session::run_batch`]). The engine owns a
-//! solver per [`Algorithm`] variant (indexed by discriminant — lookups are
-//! O(1)), resolves the `Auto` policy (2DRRM when `d = 2`, HDRRM
-//! otherwise), and delegates through the trait, whose `prepare_ctx` checks
-//! capabilities. Adding an algorithm means implementing [`Solver`] and
-//! registering it here; nothing else in the stack changes.
+//! A query is stated one way — as a typed [`Request`] — and answered
+//! through a prepared handle ([`Solver::prepare`]): either a fresh one per
+//! call ([`Engine::run`]) or the handles a [`Session`] keeps, which build
+//! each algorithm's dataset-dependent state once and then answer
+//! arbitrarily many requests cheaply ([`Session::run`],
+//! [`Session::run_batch`]). The CLI, the serve protocol and the bench
+//! harness all construct a `Request` and run it through one of these two.
 //!
-//! [`minimize`]: crate::minimize
-//! [`represent`]: crate::represent
+//! Which algorithm a request runs is decided in one place,
+//! [`Request::resolved_algorithm`]: a fixed choice wins, approximate
+//! fidelity under `Auto` selects the sampled tier, and exact `Auto`
+//! follows [`Engine::auto_policy`] (2DRRM when `d = 2`, HDRRM otherwise).
+//! The engine owns a solver per [`Algorithm`] variant (indexed by
+//! discriminant — lookups are O(1)) and delegates through the trait, whose
+//! `prepare_ctx` checks capabilities. Adding an algorithm means
+//! implementing [`Solver`] and registering it here; nothing else in the
+//! stack changes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -34,18 +36,9 @@ use rrm_hd::{
     MdrrrROptions, MdrrrRSolver, MdrrrSolver,
 };
 
-/// Which query a [`Request`] asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskKind {
-    /// RRM / RRRM: best set of at most `r` tuples.
-    Minimize,
-    /// RRR: smallest set with rank-regret at most `k`.
-    Represent,
-}
-
 /// The task half of a [`Request`]: the constructor ties the parameter to
-/// its problem direction, so "a size used as a threshold" (the old
-/// `Query::param_from` footgun) is unrepresentable.
+/// its problem direction, so "a size used as a threshold" is
+/// unrepresentable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Task {
     Minimize { r: usize },
@@ -55,11 +48,9 @@ enum Task {
 /// A typed rank-regret query: the task (with its parameter bound at
 /// construction), plus everything that shapes the answer — algorithm
 /// selection, resource budget, answer [`Fidelity`], an optional
-/// per-request utility subspace, and an optional execution policy. One
-/// fluent builder replaces the former scatter of knobs (`Query::threads`,
-/// engine-wide `Tuning.exec`, separately-plumbed cutoffs): Engine,
-/// Session, the serve wire protocol and the CLI all construct this same
-/// object.
+/// per-request utility subspace, and an optional execution policy.
+/// Engine, Session, the serve wire protocol and the CLI all construct
+/// this same object.
 ///
 /// ```
 /// use std::time::Duration;
@@ -188,14 +179,6 @@ impl Request {
     pub fn exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = Some(exec);
         self
-    }
-
-    /// Which problem direction this request asks for.
-    pub fn kind(&self) -> TaskKind {
-        match self.task {
-            Task::Minimize { .. } => TaskKind::Minimize,
-            Task::Represent { .. } => TaskKind::Represent,
-        }
     }
 
     /// The task parameter: `r` for minimize, `k` for represent.
@@ -354,10 +337,10 @@ impl Engine {
     }
 
     /// Look up the solver for one algorithm — O(1) by discriminant index.
-    pub fn solver(&self, algo: Algorithm) -> Option<&dyn Solver> {
-        let solver = self.solvers.get(algo.index())?.as_ref();
+    pub fn solver(&self, algo: Algorithm) -> &dyn Solver {
+        let solver = self.solvers[algo.index()].as_ref();
         debug_assert_eq!(solver.algorithm(), algo);
-        Some(solver)
+        solver
     }
 
     /// The `Auto` policy: the exact planar solver when it applies, the
@@ -368,17 +351,6 @@ impl Engine {
         } else {
             Algorithm::Hdrrm
         }
-    }
-
-    /// Resolve a selection policy against the registry.
-    pub fn resolve(&self, choice: AlgoChoice, d: usize) -> Result<&dyn Solver, RrmError> {
-        let algo = match choice {
-            AlgoChoice::Auto => Self::auto_policy(d),
-            AlgoChoice::Fixed(a) => a,
-        };
-        self.solver(algo).ok_or_else(|| {
-            RrmError::Unsupported(format!("algorithm {algo} is not registered in this engine"))
-        })
     }
 
     /// Single-query dispatch for a typed [`Request`]: resolve the algorithm
@@ -408,9 +380,7 @@ impl Engine {
             let spec = budget.approx.expect("approx fidelity injects its spec");
             return self.run_reduced(data, space, request, algo, spec, &budget, &ctx);
         }
-        let solver = self.solver(algo).ok_or_else(|| {
-            RrmError::Unsupported(format!("algorithm {algo} is not registered in this engine"))
-        })?;
+        let solver = self.solver(algo);
         match request.task {
             Task::Minimize { r } => solver.solve_rrm_ctx(data, r, space, &budget, &ctx),
             Task::Represent { k } => solver.solve_rrr_ctx(data, k, space, &budget, &ctx),
@@ -444,9 +414,7 @@ impl Engine {
         ctx: &SolverCtx,
     ) -> Result<Solution, RrmError> {
         spec.validate()?;
-        let solver = self.solver(algo).ok_or_else(|| {
-            RrmError::Unsupported(format!("algorithm {algo} is not registered in this engine"))
-        })?;
+        let solver = self.solver(algo);
         // Check before the reduction: the coreset work is wasted on an
         // algorithm that cannot run on this data.
         solver.ensure_supported(data, space)?;
@@ -473,16 +441,17 @@ impl Engine {
             }))
     }
 
-    /// Prepare one algorithm selection against a dataset + space (resolve,
-    /// then [`Solver::prepare`]). [`Session`] callers get this lazily and
-    /// cached; call it directly to manage handles yourself.
+    /// Prepare one algorithm against a dataset + space
+    /// ([`Solver::prepare`] under this engine's execution policy).
+    /// [`Session`] callers get this lazily and cached; call it directly to
+    /// manage handles yourself.
     pub fn prepare(
         &self,
-        choice: AlgoChoice,
+        algo: Algorithm,
         data: &Dataset,
         space: &dyn UtilitySpace,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        self.resolve(choice, data.dim())?.prepare_ctx(data, space, &self.ctx)
+        self.solver(algo).prepare_ctx(data, space, &self.ctx)
     }
 
     /// Consume the engine into a [`Session`] over `data` (full utility
@@ -698,24 +667,23 @@ impl Session {
     /// first use. The returned `Arc` is `Send + Sync`: clone it out and
     /// query from as many threads as you like.
     pub fn prepared(&self, choice: AlgoChoice) -> Result<Arc<dyn PreparedSolver>, RrmError> {
-        self.prepared_in(&self.current(), choice)
-    }
-
-    /// [`Session::prepared`] against one pinned snapshot (so a query
-    /// resolves and runs against a single consistent generation even if an
-    /// update swaps epochs mid-flight).
-    fn prepared_in(
-        &self,
-        snap: &Snapshot,
-        choice: AlgoChoice,
-    ) -> Result<Arc<dyn PreparedSolver>, RrmError> {
+        let snap = self.current();
         let algo = match choice {
             AlgoChoice::Auto => Engine::auto_policy(snap.data.dim()),
             AlgoChoice::Fixed(a) => a,
         };
-        let slot = snap.prepared.get(algo.index()).ok_or_else(|| {
-            RrmError::Unsupported(format!("algorithm {algo} is not registered in this engine"))
-        })?;
+        self.prepared_in(&snap, algo)
+    }
+
+    /// The prepared handle for `algo` in one pinned snapshot (so a query
+    /// runs against a single consistent generation even if an update
+    /// swaps epochs mid-flight).
+    fn prepared_in(
+        &self,
+        snap: &Snapshot,
+        algo: Algorithm,
+    ) -> Result<Arc<dyn PreparedSolver>, RrmError> {
+        let slot = &snap.prepared[algo.index()];
         // `OnceLock::get_or_init` is the anti-thundering-herd mechanism:
         // when several threads race a cold slot, exactly one runs the
         // (possibly expensive) prepare and the rest block on *that slot
@@ -726,9 +694,7 @@ impl Session {
         let result = slot
             .get_or_init(|| {
                 ran_prepare = true;
-                self.engine
-                    .prepare(AlgoChoice::Fixed(algo), &snap.data, self.space.as_ref())
-                    .map(Arc::from)
+                self.engine.prepare(algo, &snap.data, self.space.as_ref()).map(Arc::from)
             })
             .clone();
         if ran_prepare {
@@ -766,10 +732,10 @@ impl Session {
     /// snapshot current at dispatch — a concurrent [`Session::update`]
     /// neither blocks it nor changes the rows it answers over.
     ///
-    /// Routing: requests resolve through the cached prepared handles
-    /// (approximate fidelity under `Auto` resolves to the prepared
-    /// [`Algorithm::Sampled`] handle, so the sampled tier amortizes like
-    /// every other algorithm). Two shapes can't use a cached handle and
+    /// Routing: the request runs on the cached prepared handle of
+    /// [`Request::resolved_algorithm`] (so the sampled tier that
+    /// approximate `Auto` requests resolve to amortizes like every other
+    /// algorithm). Two shapes can't use a cached handle and
     /// go through [`Engine::run`] against the pinned snapshot instead,
     /// which prepares a fresh handle for the one request — a per-request
     /// [`Request::within`] space (cached handles are built against the
@@ -781,17 +747,14 @@ impl Session {
     /// setting).
     pub fn run(&self, request: &Request) -> Result<Response, RrmError> {
         let snap = self.current();
-        let choice = match (request.fidelity, request.choice) {
-            (Fidelity::Approx { .. }, AlgoChoice::Auto) => AlgoChoice::Fixed(Algorithm::Sampled),
-            (_, choice) => choice,
-        };
-        let one_shot = request.space.is_some()
-            || (request.fidelity.is_approx() && choice != AlgoChoice::Fixed(Algorithm::Sampled));
+        let algo = request.resolved_algorithm(snap.data.dim());
+        let one_shot =
+            request.space.is_some() || (request.fidelity.is_approx() && algo != Algorithm::Sampled);
         let start = Instant::now();
         let solution = if one_shot {
             self.engine.run(&snap.data, self.space.as_ref(), request)?
         } else {
-            let prepared = self.prepared_in(&snap, choice)?;
+            let prepared = self.prepared_in(&snap, algo)?;
             let budget = request.effective_budget();
             match request.task {
                 Task::Minimize { r } => prepared.solve_rrm(r, &budget),
@@ -809,176 +772,6 @@ impl Session {
     }
 }
 
-/// A fluent query against an [`Engine`]: data, task, space, algorithm
-/// selection and budget. Built by [`crate::minimize`] / [`crate::represent`].
-pub struct Query<'a> {
-    data: &'a Dataset,
-    kind: TaskKind,
-    /// `r` for minimize, `k` for represent.
-    param: usize,
-    /// Which task the parameter setter belonged to — [`Query::size`] on a
-    /// represent query (or [`Query::threshold`] on a minimize query) is a
-    /// caller bug that the merged builder can no longer reject at compile
-    /// time, so [`Query::solve`] rejects it with a typed error instead of
-    /// silently running the wrong problem.
-    param_from: Option<TaskKind>,
-    space: Option<Box<dyn UtilitySpace>>,
-    choice: AlgoChoice,
-    budget: Budget,
-    fidelity: Fidelity,
-    exec: Option<ExecPolicy>,
-    tuning: Tuning,
-}
-
-impl<'a> Query<'a> {
-    pub(crate) fn new(data: &'a Dataset, kind: TaskKind) -> Self {
-        Self {
-            data,
-            kind,
-            param: 1,
-            param_from: None,
-            space: None,
-            choice: AlgoChoice::Auto,
-            budget: Budget::UNLIMITED,
-            fidelity: Fidelity::Exact,
-            exec: None,
-            tuning: Tuning::default(),
-        }
-    }
-
-    /// Output size bound `r` (minimize queries; default 1).
-    pub fn size(mut self, r: usize) -> Self {
-        self.param = r;
-        self.param_from = Some(TaskKind::Minimize);
-        self
-    }
-
-    /// Rank-regret threshold `k` (represent queries; default 1).
-    pub fn threshold(mut self, k: usize) -> Self {
-        self.param = k;
-        self.param_from = Some(TaskKind::Represent);
-        self
-    }
-
-    /// Restrict the utility space (turns RRM into RRRM).
-    pub fn space(mut self, space: impl UtilitySpace + 'static) -> Self {
-        self.space = Some(Box::new(space));
-        self
-    }
-
-    /// Select a specific algorithm from the registry.
-    pub fn algo(mut self, algorithm: Algorithm) -> Self {
-        self.choice = AlgoChoice::Fixed(algorithm);
-        self
-    }
-
-    /// Select by policy ([`AlgoChoice::Auto`] or fixed); see also the
-    /// [`crate::SolverChoice`] compatibility shim.
-    pub fn choice(mut self, choice: AlgoChoice) -> Self {
-        self.choice = choice;
-        self
-    }
-
-    /// Cross-algorithm resource budget (sample counts, enumeration caps).
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Request the sampled-ε approximate answer tier (see
-    /// [`Request::approx`]).
-    pub fn approx(mut self, eps: f64, delta: f64) -> Self {
-        self.fidelity = Fidelity::Approx { eps, delta };
-        self
-    }
-
-    /// Thread budget for the query's solver kernels (`0` = all cores).
-    /// Purely a speed knob: solutions are bit-identical at any setting.
-    /// Carried on the typed [`Request`] ([`Request::threads`]), not as a
-    /// separate engine knob.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.exec = Some(ExecPolicy::threads(n));
-        self
-    }
-
-    /// Full execution policy (see [`ExecPolicy`]); carried on the typed
-    /// [`Request`].
-    pub fn exec(mut self, exec: ExecPolicy) -> Self {
-        self.exec = Some(exec);
-        self
-    }
-
-    /// Tune HDRRM (γ, δ, sample count, seed).
-    pub fn hdrrm_options(mut self, options: HdrrmOptions) -> Self {
-        self.tuning.hdrrm = options;
-        self
-    }
-
-    /// Tune the 2D solver (event chunking, paper-faithful sweep).
-    pub fn rrm2d_options(mut self, options: Rrm2dOptions) -> Self {
-        self.tuning.rrm2d = options;
-        self
-    }
-
-    /// Replace the whole tuning bundle.
-    pub fn tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
-    /// The typed [`Request`] this builder describes, or the mis-pairing
-    /// error when a parameter setter was used on the wrong query kind (the
-    /// merged builder cannot reject that at compile time; [`Request`]'s
-    /// own constructors can — prefer them in new code).
-    pub fn request(&self) -> Result<Request, RrmError> {
-        if let Some(from) = self.param_from {
-            if from != self.kind {
-                let (got, want) = match self.kind {
-                    TaskKind::Minimize => (".threshold()", "minimize queries take .size()"),
-                    TaskKind::Represent => (".size()", "represent queries take .threshold()"),
-                };
-                return Err(RrmError::Unsupported(format!(
-                    "{got} used on the wrong query kind: {want}"
-                )));
-            }
-        }
-        let request = match self.kind {
-            TaskKind::Minimize => Request::minimize(self.param),
-            TaskKind::Represent => Request::represent(self.param),
-        };
-        let mut request =
-            request.choice(self.choice).budget(self.budget.clone()).fidelity(self.fidelity);
-        if let Some(exec) = self.exec {
-            request = request.exec(exec);
-        }
-        Ok(request)
-    }
-
-    /// Bind the query's data, space and tuning into a [`Session`] — the
-    /// prepare-once / query-many handle. The dataset is cloned into the
-    /// session (sessions own their data so prepared handles can outlive
-    /// the borrow and cross threads). A [`Query::threads`]/[`Query::exec`]
-    /// policy becomes the session's engine-wide policy, so prepared
-    /// handles capture it too.
-    pub fn session(&self) -> Session {
-        let mut tuning = self.tuning.clone();
-        if let Some(exec) = self.exec {
-            tuning.exec = exec;
-        }
-        let session = Engine::with_tuning(&tuning).session(self.data.clone());
-        match &self.space {
-            Some(space) => session.boxed_space(space.clone_box()),
-            None => session,
-        }
-    }
-
-    /// Run the query: a thin wrapper over a single-use [`Session`].
-    pub fn solve(self) -> Result<Solution, RrmError> {
-        let request = self.request()?;
-        self.session().run(&request).map(|response| response.solution)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -991,7 +784,7 @@ mod tests {
         algos.dedup();
         assert_eq!(algos, Algorithm::ALL.to_vec());
         for a in Algorithm::ALL {
-            assert!(engine.solver(a).is_some(), "{a} missing from registry");
+            assert_eq!(engine.solver(a).algorithm(), a);
         }
     }
 
@@ -1016,15 +809,15 @@ mod tests {
     #[test]
     fn request_constructors_bind_parameters_to_their_task() {
         let q = Request::minimize(7);
-        assert_eq!(q.kind(), TaskKind::Minimize);
         assert_eq!(q.param(), 7);
         assert_eq!(q.choice, AlgoChoice::Auto);
         assert_eq!(q.budget, Budget::UNLIMITED);
         let q = Request::represent(3).algo(Algorithm::Hdrrm).budget(Budget::with_samples(10));
-        assert_eq!(q.kind(), TaskKind::Represent);
         assert_eq!(q.param(), 3);
         assert_eq!(q.choice, AlgoChoice::Fixed(Algorithm::Hdrrm));
         assert_eq!(q.budget.samples, Some(10));
+        // Same parameter, different task: never equal.
+        assert_ne!(Request::minimize(3), Request::represent(3));
     }
 
     #[test]
@@ -1249,6 +1042,7 @@ mod tests {
         assert_eq!(q.resolved_algorithm(5), Algorithm::Sampled);
         // Exact fidelity keeps the old auto policy.
         assert_eq!(Request::minimize(2).resolved_algorithm(2), Algorithm::TwoDRrm);
+        assert_eq!(Request::minimize(2).resolved_algorithm(3), Algorithm::Hdrrm);
         assert_eq!(Request::minimize(2).resolved_algorithm(5), Algorithm::Hdrrm);
         // A fixed algorithm always wins the resolution.
         assert_eq!(
@@ -1328,6 +1122,34 @@ mod tests {
         for threads in [2usize, 7] {
             let request = Request::minimize(2).threads(threads);
             assert_eq!(engine.run(&data, &FullSpace::new(2), &request).unwrap(), baseline);
+        }
+    }
+
+    #[test]
+    fn request_equality_distinguishes_space_parameters() {
+        use rrm_core::{BiasedOrthantSpace, BoxSpace, ConeSpace, SphereCap};
+        let pairs: [(Request, Request); 4] = [
+            (
+                Request::minimize(2).within(BoxSpace::around(&[0.4, 0.3, 0.2, 0.1], 0.15)),
+                Request::minimize(2).within(BoxSpace::around(&[0.1, 0.2, 0.3, 0.4], 0.15)),
+            ),
+            (
+                Request::minimize(2).within(SphereCap::new(&[1.0, 1.0, 1.0], 0.4)),
+                Request::minimize(2).within(SphereCap::new(&[1.0, 2.0, 1.0], 0.4)),
+            ),
+            (
+                Request::minimize(2).within(ConeSpace::new(3, vec![vec![1.0, -1.0, 0.0]])),
+                Request::minimize(2).within(ConeSpace::new(3, vec![vec![0.0, 1.0, -1.0]])),
+            ),
+            (
+                Request::minimize(2).within(BiasedOrthantSpace::new(&[0.5, 0.3, 0.2], 4.0)),
+                Request::minimize(2).within(BiasedOrthantSpace::new(&[0.2, 0.3, 0.5], 4.0)),
+            ),
+        ];
+        for (a, b) in pairs {
+            assert_ne!(a, b);
+            assert_ne!(format!("{a:?}"), format!("{b:?}"));
+            assert_eq!(a, a.clone());
         }
     }
 

@@ -68,10 +68,9 @@
 //!
 //! ## Single queries
 //!
-//! For a single ad-hoc query, the [`minimize`]/[`represent`] builders are
-//! thin wrappers that bind a single-use session behind the scenes. Every
-//! algorithm answers through its prepared handle either way — there is
-//! no separate one-shot solver path:
+//! A single ad-hoc query is the same [`Request`] on a fresh session.
+//! Every algorithm answers through its prepared handle either way —
+//! there is no separate one-shot solver path:
 //!
 //! ```
 //! use rank_regret::prelude::*;
@@ -80,26 +79,19 @@
 //!     [0.0, 1.0], [0.4, 0.95], [0.57, 0.75], [0.79, 0.6],
 //!     [0.2, 0.5], [0.35, 0.3], [1.0, 0.0],
 //! ]).unwrap();
+//! let session = Session::new(cars);
 //!
-//! let sol = rank_regret::minimize(&cars).size(1).solve().unwrap();
+//! let sol = session.run(&Request::minimize(1)).unwrap().solution;
 //! assert_eq!(sol.indices, vec![2]);
 //!
 //! // A user who cares about MPG at least as much as HP (RRRM):
-//! let sol = rank_regret::minimize(&cars)
-//!     .size(1)
-//!     .space(WeakRankingSpace::new(2, 1))
-//!     .solve()
-//!     .unwrap();
+//! let weak = Request::minimize(1).within(WeakRankingSpace::new(2, 1));
+//! let sol = session.run(&weak).unwrap().solution;
 //! assert!(sol.certified_regret.unwrap() <= 3);
 //!
 //! // Capability mismatches fail gracefully: MDRRR has no RRRM mode
 //! // (Table III), so a restricted space is a typed error, not a panic.
-//! let err = rank_regret::minimize(&cars)
-//!     .size(1)
-//!     .algo(Algorithm::Mdrrr)
-//!     .space(WeakRankingSpace::new(2, 1))
-//!     .solve()
-//!     .unwrap_err();
+//! let err = session.run(&weak.algo(Algorithm::Mdrrr)).unwrap_err();
 //! assert!(matches!(err, RrmError::Unsupported(_)));
 //! ```
 //!
@@ -138,20 +130,6 @@
 //! `"fidelity"` and a `"confidence"` block) and on the CLI
 //! (`rrm --approx 0.05,0.05 ...`).
 //!
-//! ## Migrating to the `Request` builder
-//!
-//! Older layers each had their own knobs: positional
-//! `Solver::solve_rrm(r, budget, cutoff, exec)`-style wrappers,
-//! `Query::threads`, engine-wide `Tuning.exec`, and separately-plumbed
-//! cutoffs. These collapsed into the one fluent [`Request`] builder —
-//! `Request::minimize(r).algo(...).budget(...).cutoff(...).threads(...)
-//! .approx(...)` — which Engine, Session, the serve protocol and the CLI
-//! all construct. Solver implementations provide one entry point,
-//! `prepare_ctx` under a [`SolverCtx`]; `solve_rrm_ctx`/`solve_rrr_ctx`
-//! are provided on top of it (a fresh handle per call), and the old 4-arg
-//! trait wrappers are gone. `Query` remains as a thin
-//! source-compatibility shim over `Request`.
-//!
 //! ## The engine layer
 //!
 //! [`Engine`] holds one [`Solver`] per [`Algorithm`] variant (indexed by
@@ -161,13 +139,13 @@
 //!
 //! ```
 //! use rank_regret::prelude::*;
-//! use rank_regret::{Engine, AlgoChoice};
 //!
 //! let engine = Engine::new();
 //! assert_eq!(engine.registry().count(), 9);
 //! for solver in engine.registry() {
-//!     let _ = (solver.name(), solver.has_regret_guarantee(),
-//!              solver.supports_restricted_space(), solver.supported_dims());
+//!     let algo = solver.algorithm();
+//!     let _ = (algo.name(), algo.has_regret_guarantee(),
+//!              algo.supports_restricted_space(), algo.supported_dims());
 //! }
 //!
 //! let cars = Dataset::from_rows(&[[0.0, 1.0], [0.6, 0.7], [1.0, 0.0]]).unwrap();
@@ -176,7 +154,7 @@
 //!
 //! // Or hold a prepared handle directly (what Session does lazily):
 //! let prepared = engine
-//!     .prepare(AlgoChoice::Auto, &cars, &FullSpace::new(2))
+//!     .prepare(Algorithm::TwoDRrm, &cars, &FullSpace::new(2))
 //!     .unwrap();
 //! assert_eq!(prepared.solve_rrm(1, &Budget::UNLIMITED).unwrap(), sol);
 //! ```
@@ -194,7 +172,7 @@
 //! | [`setcover`](rrm_setcover) | lazy greedy set cover, interval cover |
 //! | [`data`](rrm_data) | synthetic + simulated-real workloads, the approx scenario matrix |
 //! | [`eval`](rrm_eval) | regret estimators (sampled and exact-2D), solver reports |
-//! | `rank_regret` (this crate) | the [`Engine`]/[`Query`] layer, builders, CLI |
+//! | `rank_regret` (this crate) | [`Request`], [`Engine`], [`Session`], CLI |
 
 pub use rrm_2d;
 pub use rrm_core;
@@ -217,77 +195,20 @@ pub use rrm_core::{
 pub mod cli;
 pub mod engine;
 
-pub use engine::{AlgoChoice, Engine, Query, Request, Response, Session, TaskKind, Tuning};
+pub use engine::{AlgoChoice, Engine, Request, Response, Session, Tuning};
 
 /// Everything a typical caller needs.
 pub mod prelude {
     pub use crate::{
-        minimize, represent, session, Algorithm, ApproxSpec, BiasedOrthantSpace, BoxSpace, Budget,
-        ConeSpace, Cutoff, Dataset, Engine, ExecPolicy, Fidelity, FullSpace, Parallelism,
-        PreparedSolver, Request, Response, RrmError, Session, Solution, Solver, SphereCap,
-        UpdateOp, UtilitySpace, WeakRankingSpace,
+        Algorithm, ApproxSpec, BiasedOrthantSpace, BoxSpace, Budget, ConeSpace, Cutoff, Dataset,
+        Engine, ExecPolicy, Fidelity, FullSpace, Parallelism, PreparedSolver, Request, Response,
+        RrmError, Session, Solution, Solver, SphereCap, UpdateOp, UtilitySpace, WeakRankingSpace,
     };
 }
-
-/// Pre-engine solver selector, kept for source compatibility. Maps onto
-/// [`AlgoChoice`]; new code should pass an [`Algorithm`] to
-/// [`Query::algo`] instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverChoice {
-    /// 2DRRM for `d = 2` (exact), HDRRM otherwise.
-    #[default]
-    Auto,
-    /// Force the exact 2D dynamic program (errors when `d ≠ 2`).
-    Exact2d,
-    /// Force HDRRM (works for any `d ≥ 2`).
-    Hdrrm,
-}
-
-impl From<SolverChoice> for AlgoChoice {
-    fn from(choice: SolverChoice) -> AlgoChoice {
-        match choice {
-            SolverChoice::Auto => AlgoChoice::Auto,
-            SolverChoice::Exact2d => AlgoChoice::Fixed(Algorithm::TwoDRrm),
-            SolverChoice::Hdrrm => AlgoChoice::Fixed(Algorithm::Hdrrm),
-        }
-    }
-}
-
-impl<'a> Query<'a> {
-    /// Source-compatibility shim for the pre-engine API.
-    pub fn solver(self, choice: SolverChoice) -> Self {
-        self.choice(choice.into())
-    }
-}
-
-/// Start a rank-regret **minimization** query (RRM, or RRRM with
-/// [`Query::space`]): best set of at most `r` tuples.
-pub fn minimize(data: &Dataset) -> Query<'_> {
-    Query::new(data, TaskKind::Minimize)
-}
-
-/// Start a rank-regret **representative** query (RRR): smallest set with
-/// rank-regret at most `k`.
-pub fn represent(data: &Dataset) -> Query<'_> {
-    Query::new(data, TaskKind::Represent)
-}
-
-/// Bind a [`Session`] over a clone of `data` with the default engine —
-/// the prepare-once / query-many entry point. Use [`Session::with_engine`]
-/// or [`Query::session`] for tuned engines or restricted spaces.
-pub fn session(data: &Dataset) -> Session {
-    Session::new(data.clone())
-}
-
-/// Pre-engine name for [`Query`], kept for source compatibility.
-pub type MinimizeBuilder<'a> = Query<'a>;
-/// Pre-engine name for [`Query`], kept for source compatibility.
-pub type RepresentBuilder<'a> = Query<'a>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_hd::HdrrmOptions;
 
     fn table1() -> Dataset {
         Dataset::from_rows(&[
@@ -303,45 +224,8 @@ mod tests {
     }
 
     #[test]
-    fn minimize_auto_2d() {
-        let sol = minimize(&table1()).size(1).solve().unwrap();
-        assert_eq!(sol.indices, vec![2]);
-        assert_eq!(sol.algorithm, Algorithm::TwoDRrm);
-    }
-
-    #[test]
-    fn minimize_auto_hd() {
-        let data = rrm_data::synthetic::independent(300, 3, 1);
-        let sol = minimize(&data)
-            .size(8)
-            .hdrrm_options(HdrrmOptions { m_override: Some(200), ..Default::default() })
-            .solve()
-            .unwrap();
-        assert!(sol.size() <= 8);
-        assert_eq!(sol.algorithm, Algorithm::Hdrrm);
-    }
-
-    #[test]
-    fn forced_hdrrm_on_2d() {
-        let data = rrm_data::synthetic::independent(200, 2, 2);
-        let sol = minimize(&data)
-            .size(5)
-            .solver(SolverChoice::Hdrrm)
-            .hdrrm_options(HdrrmOptions { m_override: Some(150), ..Default::default() })
-            .solve()
-            .unwrap();
-        assert_eq!(sol.algorithm, Algorithm::Hdrrm);
-    }
-
-    #[test]
-    fn forced_exact_on_hd_fails() {
-        let data = rrm_data::synthetic::independent(50, 3, 3);
-        assert!(minimize(&data).size(5).solver(SolverChoice::Exact2d).solve().is_err());
-    }
-
-    #[test]
     fn represent_2d_exact() {
-        let sol = represent(&table1()).threshold(2).solve().unwrap();
+        let sol = Session::new(table1()).run(&Request::represent(2)).unwrap().solution;
         assert!(sol.certified_regret.unwrap() <= 2);
         // Exact RRR: no smaller set achieves threshold 2; check against
         // the frontier.
@@ -354,47 +238,5 @@ mod tests {
         .unwrap();
         let min_size = frontier.iter().find(|p| p.regret <= 2).unwrap().r;
         assert_eq!(sol.size(), min_size);
-    }
-
-    #[test]
-    fn restricted_space_via_builder() {
-        let sol = minimize(&table1()).size(1).space(WeakRankingSpace::new(2, 1)).solve().unwrap();
-        assert!(sol.certified_regret.unwrap() <= 3);
-    }
-
-    #[test]
-    fn every_algorithm_is_reachable_from_the_facade() {
-        // The acceptance bar for the engine refactor: all nine variants
-        // runnable with one selector, on the Table I dataset.
-        for algo in Algorithm::ALL {
-            let sol = minimize(&table1())
-                .size(3)
-                .algo(algo)
-                .budget(Budget::with_samples(400))
-                .solve()
-                .unwrap_or_else(|e| panic!("{algo}: {e}"));
-            assert_eq!(sol.algorithm, algo, "{algo}");
-            assert!(sol.size() <= 3, "{algo}");
-        }
-    }
-
-    #[test]
-    fn mismatched_setter_is_rejected_not_misrun() {
-        // The merged Query can no longer reject this at compile time, so
-        // it must be a typed runtime error, never a silently-wrong query.
-        let err = minimize(&table1()).threshold(2).solve().unwrap_err();
-        assert!(matches!(&err, RrmError::Unsupported(msg) if msg.contains(".size()")), "{err}");
-        let err = represent(&table1()).size(2).solve().unwrap_err();
-        assert!(
-            matches!(&err, RrmError::Unsupported(msg) if msg.contains(".threshold()")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn solver_choice_shim_maps_to_algo_choice() {
-        assert_eq!(AlgoChoice::from(SolverChoice::Auto), AlgoChoice::Auto);
-        assert_eq!(AlgoChoice::from(SolverChoice::Exact2d), AlgoChoice::Fixed(Algorithm::TwoDRrm));
-        assert_eq!(AlgoChoice::from(SolverChoice::Hdrrm), AlgoChoice::Fixed(Algorithm::Hdrrm));
     }
 }

@@ -78,7 +78,7 @@ fn certified_solvers_never_beat_the_brute_force_optimum() {
         let sol = engine
             .run(&data, &FullSpace::new(2), &Request::minimize(r).algo(algo).budget(budget()))
             .unwrap_or_else(|e| panic!("{algo}: {e}"));
-        if solver.has_regret_guarantee() {
+        if algo.has_regret_guarantee() {
             let certified = sol
                 .certified_regret
                 .unwrap_or_else(|| panic!("{algo} claims a guarantee but gave no certificate"));
@@ -101,7 +101,7 @@ fn restricted_space_capability_is_enforced_not_panicked() {
             &WeakRankingSpace::new(2, 1),
             &Request::minimize(3).algo(algo).budget(budget()),
         );
-        if solver.supports_restricted_space() {
+        if algo.supports_restricted_space() {
             let sol = result.unwrap_or_else(|e| panic!("{algo} should accept RRRM: {e}"));
             assert!(sol.size() <= 3, "{algo}");
         } else {
@@ -125,20 +125,8 @@ fn every_algorithm_answers_the_represent_direction() {
         assert_eq!(sol.algorithm, algo);
         assert!(sol.size() >= 1 && sol.size() <= data.n(), "{algo}");
         // Guaranteed solvers certify a regret within the threshold.
-        if solver.has_regret_guarantee() {
+        if algo.has_regret_guarantee() {
             assert!(sol.certified_regret.unwrap() <= 3, "{algo}: {:?}", sol.certified_regret);
         }
-    }
-}
-
-#[test]
-fn capability_matrix_is_consistent_between_enum_and_trait() {
-    let engine = Engine::new();
-    for solver in engine.registry() {
-        let algo = solver.algorithm();
-        assert_eq!(solver.has_regret_guarantee(), algo.has_regret_guarantee(), "{algo}");
-        assert_eq!(solver.supports_restricted_space(), algo.supports_restricted_space(), "{algo}");
-        assert_eq!(solver.supported_dims(), algo.supported_dims(), "{algo}");
-        assert_eq!(solver.name(), algo.name(), "{algo}");
     }
 }

@@ -27,23 +27,31 @@ fn hdrrm(
 }
 
 fn quick_hd() -> HdrrmOptions {
-    HdrrmOptions { m_override: Some(300), ..Default::default() }
+    HdrrmOptions { m_override: Some(QUICK_HD_SAMPLES), ..Default::default() }
+}
+
+/// HDRRM's direction-sample count for these tests.
+const QUICK_HD_SAMPLES: usize = 300;
+
+/// Answer one request on a fresh session over `data`.
+fn solve(data: &Dataset, request: Request) -> Result<Solution, RrmError> {
+    Session::new(data.clone()).run(&request).map(|response| response.solution)
 }
 
 #[test]
 fn single_tuple_dataset() {
     let data = Dataset::from_rows(&[[0.3, 0.7]]).unwrap();
-    let sol = rank_regret::minimize(&data).size(1).solve().unwrap();
+    let sol = solve(&data, Request::minimize(1)).unwrap();
     assert_eq!(sol.indices, vec![0]);
     assert_eq!(sol.certified_regret, Some(1));
-    let sol = rank_regret::represent(&data).threshold(1).solve().unwrap();
+    let sol = solve(&data, Request::represent(1)).unwrap();
     assert_eq!(sol.indices, vec![0]);
 }
 
 #[test]
 fn two_identical_tuples() {
     let data = Dataset::from_rows(&[[0.5, 0.5], [0.5, 0.5]]).unwrap();
-    let sol = rank_regret::minimize(&data).size(1).solve().unwrap();
+    let sol = solve(&data, Request::minimize(1)).unwrap();
     assert_eq!(sol.size(), 1);
     // Under index tie-breaking the first copy has rank 1 everywhere.
     assert_eq!(sol.certified_regret, Some(1));
@@ -52,7 +60,7 @@ fn two_identical_tuples() {
 #[test]
 fn budget_larger_than_dataset() {
     let data = Dataset::from_rows(&[[0.1, 0.9], [0.9, 0.1], [0.5, 0.5]]).unwrap();
-    let sol = rank_regret::minimize(&data).size(50).solve().unwrap();
+    let sol = solve(&data, Request::minimize(50)).unwrap();
     assert!(sol.size() <= 3);
     assert_eq!(sol.certified_regret, Some(1));
 }
@@ -60,8 +68,7 @@ fn budget_larger_than_dataset() {
 #[test]
 fn threshold_larger_than_dataset() {
     let data = rrm_data::synthetic::independent(20, 3, 1);
-    let sol =
-        rank_regret::represent(&data).threshold(1000).hdrrm_options(quick_hd()).solve().unwrap();
+    let sol = solve(&data, Request::represent(1000).samples(QUICK_HD_SAMPLES)).unwrap();
     assert!(!sol.indices.is_empty());
 }
 
@@ -170,12 +177,7 @@ fn restricted_space_narrower_than_data_spread() {
     // the solver must still terminate and certify.
     let data = rrm_data::synthetic::anticorrelated(300, 3, 9);
     let space = BoxSpace::around(&[0.5, 0.3, 0.2], 0.01);
-    let sol = rank_regret::minimize(&data)
-        .size(5)
-        .space(space)
-        .hdrrm_options(quick_hd())
-        .solve()
-        .unwrap();
+    let sol = solve(&data, Request::minimize(5).within(space).samples(QUICK_HD_SAMPLES)).unwrap();
     // With an (almost) single direction, a handful of tuples reach the
     // very top ranks.
     assert!(sol.certified_regret.unwrap() <= 5, "{:?}", sol.certified_regret);

@@ -12,7 +12,7 @@
 use rank_regret::{Algorithm, ExecPolicy, Session, UpdateOp};
 use rrm_serve::{
     effective_request, parse_request, Client, Json, ServerConfig, ServerHandle, SyntheticKind,
-    TenantSpec,
+    TenantSpec, MAX_LINE_BYTES,
 };
 
 fn test_config() -> ServerConfig {
@@ -59,6 +59,51 @@ fn malformed_input_gets_bad_request_and_connection_survives() {
         .expect("call");
     assert_eq!(str_field(&resp, "status"), "ok");
     assert_eq!(resp.get("id").and_then(Json::as_usize), Some(1));
+    server.shutdown();
+}
+
+#[test]
+fn unterminated_oversized_line_is_rejected_and_disconnected() {
+    use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    let server = ServerHandle::start(test_config(), &[small_tenant("t")]).expect("start");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    // 2 MiB with no newline, from a separate thread: the server stops
+    // reading once past its cap, so this write may block and then fail.
+    let mut writer = stream.try_clone().expect("clone");
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b'a'; 64 * 1024];
+        for _ in 0..32 {
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("an error reply before the close");
+    let resp = rrm_serve::json::parse(line.trim()).expect("json reply");
+    assert_eq!(str_field(&resp, "status"), "error");
+    assert_eq!(str_field(&resp, "error"), "bad_request");
+    assert!(str_field(&resp, "message").contains(&MAX_LINE_BYTES.to_string()), "{line}");
+    // Then the connection is closed: EOF (or a reset), never another reply.
+    let mut rest = Vec::new();
+    let _ = reader.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "no further replies after the rejection");
+    flood.join().expect("flood thread");
+
+    // The server itself is unaffected: a new connection gets the usual
+    // malformed-input handling and real answers.
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let resp = client.call("{not json").expect("call");
+    assert_eq!(str_field(&resp, "error"), "bad_request");
+    let resp = client
+        .call(r#"{"op":"minimize","tenant":"t","param":5,"algo":"hdrrm","samples":64,"id":1}"#)
+        .expect("call");
+    assert_eq!(str_field(&resp, "status"), "ok");
     server.shutdown();
 }
 

@@ -9,7 +9,6 @@
 
 use rank_regret::prelude::*;
 use rank_regret::rrm_data::synthetic::independent;
-use rank_regret::AlgoChoice;
 
 /// Budget shared by both sides: sample counts keep the randomized solvers
 /// fast, the enumeration/LP caps keep MDRRR's exact k-set enumeration
@@ -101,8 +100,7 @@ fn one_prepared_handle_answers_many_parameters() {
     // and interleaved between the two problem directions.
     let engine = Engine::new();
     let data = independent(120, 2, 42);
-    let prepared =
-        engine.prepare(AlgoChoice::Fixed(Algorithm::TwoDRrm), &data, &FullSpace::new(2)).unwrap();
+    let prepared = engine.prepare(Algorithm::TwoDRrm, &data, &FullSpace::new(2)).unwrap();
     let b = Budget::UNLIMITED;
     for r in [5usize, 1, 3, 5, 2] {
         let expected =
@@ -119,7 +117,7 @@ fn one_prepared_handle_answers_many_parameters() {
 #[test]
 fn batch_equals_individual_runs() {
     let data = independent(60, 3, 17);
-    let session = rank_regret::session(&data);
+    let session = Session::new(data.clone());
     let requests: Vec<Request> = vec![
         Request::minimize(5).budget(budget()),
         Request::minimize(8).budget(budget()),
@@ -219,7 +217,7 @@ fn batch_isolates_unsupported_capability_errors() {
     // solvers on 3-D data) must fail alone: per-item error, neighbouring
     // results intact, and the session not poisoned for later use.
     let data = independent(60, 3, 31);
-    let session = rank_regret::session(&data);
+    let session = Session::new(data.clone());
     let requests: Vec<Request> = vec![
         Request::minimize(5).algo(Algorithm::Hdrrm).budget(budget()),
         Request::minimize(5).algo(Algorithm::TwoDRrm).budget(budget()), // d=3: unsupported
@@ -242,15 +240,13 @@ fn batch_isolates_unsupported_capability_errors() {
 }
 
 #[test]
-fn facade_builders_ride_the_session_path() {
-    // minimize()/represent() are documented as thin wrappers over a
-    // single-use session; their results must equal explicit session runs.
+fn auto_requests_on_a_fresh_session_match_engine_run() {
+    // A single ad-hoc query is a fresh session plus one request; under the
+    // Auto policy it must equal the engine's fresh-handle answer.
+    let engine = Engine::new();
     let data = independent(80, 2, 5);
-    let via_builder = rank_regret::minimize(&data).size(3).solve().unwrap();
-    let via_session = rank_regret::session(&data).run(&Request::minimize(3)).unwrap().solution;
-    assert_eq!(via_builder, via_session);
-
-    let via_builder = rank_regret::represent(&data).threshold(2).solve().unwrap();
-    let via_session = rank_regret::session(&data).run(&Request::represent(2)).unwrap().solution;
-    assert_eq!(via_builder, via_session);
+    for request in [Request::minimize(3), Request::represent(2)] {
+        let via_session = Session::new(data.clone()).run(&request).unwrap().solution;
+        assert_eq!(fresh(&engine, &data, &request).unwrap(), via_session, "{request:?}");
+    }
 }
