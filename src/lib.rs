@@ -223,6 +223,43 @@ mod tests {
         .unwrap()
     }
 
+    fn run(data: &Dataset, request: &Request) -> Result<Solution, RrmError> {
+        Session::new(data.clone()).run(request).map(|response| response.solution)
+    }
+
+    #[test]
+    fn minimize_auto_2d() {
+        let sol = run(&table1(), &Request::minimize(1)).unwrap();
+        assert_eq!(sol.indices, vec![2]);
+        assert_eq!(sol.algorithm, Algorithm::TwoDRrm);
+    }
+
+    #[test]
+    fn minimize_auto_hd() {
+        let data = rrm_data::synthetic::independent(300, 3, 1);
+        let tuning = Tuning {
+            hdrrm: rrm_hd::HdrrmOptions { m_override: Some(200), ..Default::default() },
+            ..Default::default()
+        };
+        let sol =
+            Engine::with_tuning(&tuning).session(data).run(&Request::minimize(8)).unwrap().solution;
+        assert!(sol.size() <= 8);
+        assert_eq!(sol.algorithm, Algorithm::Hdrrm);
+    }
+
+    #[test]
+    fn forced_hdrrm_on_2d() {
+        let data = rrm_data::synthetic::independent(200, 2, 2);
+        let sol = run(&data, &Request::minimize(5).algo(Algorithm::Hdrrm).samples(150)).unwrap();
+        assert_eq!(sol.algorithm, Algorithm::Hdrrm);
+    }
+
+    #[test]
+    fn forced_exact_on_hd_fails() {
+        let data = rrm_data::synthetic::independent(50, 3, 3);
+        assert!(run(&data, &Request::minimize(5).algo(Algorithm::TwoDRrm)).is_err());
+    }
+
     #[test]
     fn represent_2d_exact() {
         let sol = Session::new(table1()).run(&Request::represent(2)).unwrap().solution;
@@ -238,5 +275,24 @@ mod tests {
         .unwrap();
         let min_size = frontier.iter().find(|p| p.regret <= 2).unwrap().r;
         assert_eq!(sol.size(), min_size);
+    }
+
+    #[test]
+    fn restricted_space_via_builder() {
+        let request = Request::minimize(1).within(WeakRankingSpace::new(2, 1));
+        let sol = run(&table1(), &request).unwrap();
+        assert!(sol.certified_regret.unwrap() <= 3);
+    }
+
+    #[test]
+    fn every_algorithm_is_reachable_from_the_facade() {
+        // All nine variants runnable with one selector, on the Table I
+        // dataset.
+        for algo in Algorithm::ALL {
+            let request = Request::minimize(3).algo(algo).budget(Budget::with_samples(400));
+            let sol = run(&table1(), &request).unwrap_or_else(|e| panic!("{algo}: {e}"));
+            assert_eq!(sol.algorithm, algo, "{algo}");
+            assert!(sol.size() <= 3, "{algo}");
+        }
     }
 }
