@@ -348,8 +348,10 @@ fn accept_loop(
 }
 
 /// Longest request line a connection may buffer. A client that sends
-/// more than this without a newline gets `bad_request` and is
-/// disconnected, so an unterminated line cannot grow memory unboundedly.
+/// more than this without a newline gets `bad_request` and the server
+/// stops reading that connection, so an unterminated line cannot grow
+/// memory unboundedly. Requests already admitted on it are still
+/// answered before the connection closes.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Read newline-delimited requests off one connection. Hand-rolled line
@@ -375,7 +377,10 @@ fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
         if buf.len() > MAX_LINE_BYTES {
             let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes without a newline");
             writer.send(&error_response(&None, ErrorKind::BadRequest, &msg, None));
-            let _ = stream.shutdown(Shutdown::Both);
+            // Close only the read half: queued jobs still hold `writer`,
+            // so replies to requests pipelined before the flood are
+            // delivered, and the socket closes when the last one is sent.
+            let _ = stream.shutdown(Shutdown::Read);
             return;
         }
         if shared.shutdown.load(Ordering::Acquire) {

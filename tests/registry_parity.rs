@@ -132,15 +132,12 @@ fn every_algorithm_answers_the_represent_direction() {
 }
 
 #[test]
-fn capability_matrix_is_consistent_between_enum_and_trait() {
-    // The registry holds one solver per algorithm in discriminant order,
-    // and every handle it prepares reports the algorithm it was asked for.
+fn every_prepared_handle_reports_its_algorithm() {
+    // Registry order is checked in `engine::tests`; here the handle that
+    // `Engine::prepare(a, ..)` returns must report `a`.
     let engine = Engine::new();
     let data = table1();
-    let registered: Vec<Algorithm> = engine.registry().map(|s| s.algorithm()).collect();
-    assert_eq!(registered, Algorithm::ALL.to_vec());
     for algo in Algorithm::ALL {
-        assert_eq!(engine.solver(algo).algorithm(), algo, "{algo}");
         let prepared = engine.prepare(algo, &data, &FullSpace::new(2)).unwrap();
         assert_eq!(prepared.algorithm(), algo, "{algo}");
     }

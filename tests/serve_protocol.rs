@@ -64,17 +64,21 @@ fn malformed_input_gets_bad_request_and_connection_survives() {
 
 #[test]
 fn unterminated_oversized_line_is_rejected_and_disconnected() {
-    use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+    use std::io::{BufRead as _, BufReader, Write as _};
     use std::net::TcpStream;
     use std::time::Duration;
 
     let server = ServerHandle::start(test_config(), &[small_tenant("t")]).expect("start");
     let stream = TcpStream::connect(server.addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
-    // 2 MiB with no newline, from a separate thread: the server stops
-    // reading once past its cap, so this write may block and then fail.
+    // One valid request, then 2 MiB with no newline, from a separate
+    // thread: the server stops reading once past its cap, so the flood
+    // may block and then fail.
     let mut writer = stream.try_clone().expect("clone");
     let flood = std::thread::spawn(move || {
+        let valid =
+            br#"{"op":"minimize","tenant":"t","param":5,"algo":"hdrrm","samples":64,"id":1}"#;
+        writer.write_all(valid).and_then(|()| writer.write_all(b"\n")).expect("valid request");
         let chunk = vec![b'a'; 64 * 1024];
         for _ in 0..32 {
             if writer.write_all(&chunk).is_err() {
@@ -82,18 +86,26 @@ fn unterminated_oversized_line_is_rejected_and_disconnected() {
             }
         }
     });
+    // Read every reply until the server closes the connection (EOF, or
+    // a reset while the flood is still unread).
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("an error reply before the close");
-    let resp = rrm_serve::json::parse(line.trim()).expect("json reply");
-    assert_eq!(str_field(&resp, "status"), "error");
-    assert_eq!(str_field(&resp, "error"), "bad_request");
-    assert!(str_field(&resp, "message").contains(&MAX_LINE_BYTES.to_string()), "{line}");
-    // Then the connection is closed: EOF (or a reset), never another reply.
-    let mut rest = Vec::new();
-    let _ = reader.read_to_end(&mut rest);
-    assert!(rest.is_empty(), "no further replies after the rejection");
+    let mut replies = Vec::new();
+    loop {
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => replies.push(rrm_serve::json::parse(line.trim()).expect("json reply")),
+        }
+    }
     flood.join().expect("flood thread");
+    // Exactly two replies, in either order: the answer to the request
+    // sent before the flood, and the rejection of the oversized line.
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    let (ok, err): (Vec<_>, Vec<_>) = replies.iter().partition(|r| str_field(r, "status") == "ok");
+    assert_eq!(ok.len(), 1, "{replies:?}");
+    assert_eq!(ok[0].get("id").and_then(Json::as_usize), Some(1));
+    assert_eq!(str_field(err[0], "error"), "bad_request");
+    assert!(str_field(err[0], "message").contains(&MAX_LINE_BYTES.to_string()), "{err:?}");
 
     // The server itself is unaffected: a new connection gets the usual
     // malformed-input handling and real answers.
