@@ -71,13 +71,14 @@ fn unterminated_oversized_line_is_rejected_and_disconnected() {
     let server = ServerHandle::start(test_config(), &[small_tenant("t")]).expect("start");
     let stream = TcpStream::connect(server.addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
-    // One valid request, then 2 MiB with no newline, from a separate
-    // thread: the server stops reading once past its cap, so the flood
-    // may block and then fail.
+    // One valid request, slow enough (20 000 directions) to still be
+    // solving when the flood passes the cap, then 2 MiB with no newline,
+    // from a separate thread: the server stops reading once past its cap,
+    // so the flood may block and then fail.
     let mut writer = stream.try_clone().expect("clone");
     let flood = std::thread::spawn(move || {
         let valid =
-            br#"{"op":"minimize","tenant":"t","param":5,"algo":"hdrrm","samples":64,"id":1}"#;
+            br#"{"op":"minimize","tenant":"t","param":5,"algo":"hdrrm","samples":20000,"id":1}"#;
         writer.write_all(valid).and_then(|()| writer.write_all(b"\n")).expect("valid request");
         let chunk = vec![b'a'; 64 * 1024];
         for _ in 0..32 {
