@@ -13,8 +13,7 @@
 //!
 //! [`Cutoff::None`]: rrm_core::Cutoff::None
 
-use rrm_core::rank::rank_regret_of_set;
-use rrm_core::{AnytimeSearch, Bounds, Dataset, Parallelism, RrmError, TerminatedBy};
+use rrm_core::{AnytimeSearch, Bounds, Dataset, RrmError, TerminatedBy};
 
 /// Outcome of an anytime threshold search.
 pub(crate) struct ThresholdOutcome<T> {
@@ -105,26 +104,6 @@ pub(crate) fn threshold_search<T>(
         lower: lo,
         terminated: TerminatedBy::Completed,
     })
-}
-
-/// Maximum rank-regret of `set` over `dirs`, chunked over `pol`'s worker
-/// threads (`max` commutes, so the result is identical at any thread
-/// count). This *measures* a sound frame-relative upper bound for an
-/// incumbent candidate in one scoring pass.
-pub(crate) fn regret_over_dirs(
-    data: &Dataset,
-    set: &[u32],
-    dirs: &[Vec<f64>],
-    pol: Parallelism,
-) -> usize {
-    if dirs.is_empty() {
-        return 0;
-    }
-    let chunk = rrm_par::adaptive_chunk(dirs.len(), data.n() * data.dim());
-    let per_chunk = rrm_par::par_chunks(dirs, chunk, pol, |_, dirs_chunk| {
-        dirs_chunk.iter().map(|u| rank_regret_of_set(data, u, set)).max().unwrap_or(0)
-    });
-    per_chunk.into_iter().max().unwrap_or(0)
 }
 
 /// A deterministic fallback representative: `seed` tuples (a basis, or
@@ -228,18 +207,5 @@ mod tests {
         assert!(a.contains(&3) && a.contains(&9));
         let solo = uniform_top_set(&data, &[], 1);
         assert_eq!(solo.len(), 1);
-    }
-
-    #[test]
-    fn regret_over_dirs_matches_serial_max() {
-        let data = independent(80, 3, 6);
-        let dirs: Vec<Vec<f64>> =
-            vec![vec![1.0, 0.0, 0.0], vec![0.2, 0.5, 0.3], vec![0.0, 0.0, 1.0]];
-        let set = vec![0u32, 5, 11];
-        let want = dirs.iter().map(|u| rank_regret_of_set(&data, u, &set)).max().unwrap();
-        for pol in [Parallelism::Sequential, Parallelism::Fixed(3)] {
-            assert_eq!(regret_over_dirs(&data, &set, &dirs, pol), want);
-        }
-        assert_eq!(regret_over_dirs(&data, &set, &[], Parallelism::Auto), 0);
     }
 }

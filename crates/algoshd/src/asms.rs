@@ -141,16 +141,11 @@ pub fn asms_with_topk_capped(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrm_core::rank::max_rank_regret;
     use rrm_core::{basis_indices, FullSpace};
     use rrm_data::synthetic::independent;
 
     use crate::discretize::build_vector_set;
-
-    /// Rank-regret of `set` over exactly the given directions (the
-    /// quantity ASMS certifies: `∇D(Q) ≤ k`).
-    fn regret_over_dirs(data: &Dataset, set: &[u32], dirs: &[Vec<f64>]) -> usize {
-        dirs.iter().map(|u| rrm_core::rank::rank_regret_of_set(data, u, set)).max().unwrap()
-    }
 
     #[test]
     fn output_contains_basis_and_meets_threshold() {
@@ -162,7 +157,7 @@ mod tests {
             for b in &basis {
                 assert!(q.contains(b), "k={k}: basis tuple {b} missing");
             }
-            let reg = regret_over_dirs(&data, &q, &disc.dirs);
+            let reg = max_rank_regret(&data, &disc.dirs, &q, Parallelism::Sequential).unwrap();
             assert!(reg <= k, "k={k}: ∇D(Q) = {reg}");
         }
     }
@@ -204,7 +199,7 @@ mod tests {
             mask[s as usize] = true;
         }
         let q = asms(&data, 3, &basis, &disc.dirs, Some(&mask), Parallelism::Auto);
-        assert!(regret_over_dirs(&data, &q, &disc.dirs) <= 3);
+        assert!(max_rank_regret(&data, &disc.dirs, &q, Parallelism::Sequential).unwrap() <= 3);
         // Chosen non-basis tuples are all skyline members.
         for &t in &q {
             assert!(mask[t as usize] || basis.contains(&t));

@@ -3,7 +3,7 @@
 //! blocked SoA kernel ([`rrm_core::kernel`]).
 
 use rrm_core::kernel::{self, ScoreScratch};
-use rrm_core::rank::top_k_into;
+use rrm_core::rank::{top_k_into, TopKScratch};
 use rrm_core::{Dataset, Parallelism};
 
 /// Compute `Φk(u, D)` for every direction, chunked over `pol`'s worker
@@ -21,12 +21,10 @@ pub fn batch_topk(data: &Dataset, dirs: &[Vec<f64>], k: usize, pol: Parallelism)
     let chunk = rrm_par::adaptive_chunk(dirs.len(), data.n() * data.dim());
     let per_chunk = rrm_par::par_chunks(dirs, chunk, pol, |_, dirs_chunk| {
         let mut scratch = ScoreScratch::new();
-        let mut sel = Vec::new();
-        let mut out = Vec::new();
+        let mut sel = TopKScratch::new();
         let mut lists = vec![Vec::new(); dirs_chunk.len()];
         kernel::for_each_scores(soa, dirs_chunk, &mut scratch, |di, scores| {
-            top_k_into(scores, k, &mut sel, &mut out);
-            lists[di] = out.clone();
+            top_k_into(scores, k, &mut sel, &mut lists[di]);
         });
         lists
     });

@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use rrm_core::rank::max_rank_regret;
 use rrm_core::{
     basis_indices, cache_bounded, Algorithm, AnytimeSearch, AppliedUpdate, Bounds, Budget, Cutoff,
     Dataset, ExecPolicy, Parallelism, RrmError, Solution, TerminatedBy, UtilitySpace,
@@ -25,7 +26,7 @@ use rrm_core::{
 };
 use rrm_skyline::IncrementalSkyline;
 
-use crate::anytime::{regret_over_dirs, threshold_search, uniform_top_set, ThresholdOutcome};
+use crate::anytime::{threshold_search, uniform_top_set, ThresholdOutcome};
 use crate::asms::{asms_with_topk, asms_with_topk_capped};
 use crate::common::batch_topk;
 use crate::discretize::{build_vector_set_exec, paper_sample_size, Discretization};
@@ -148,7 +149,7 @@ impl AsmsSearch<'_> {
     /// a sound answer to return.
     fn offer_fallback(&self, dirs: &[Vec<f64>], search: &mut AnytimeSearch) {
         let fallback = uniform_top_set(self.data, self.basis, self.r);
-        let upper = regret_over_dirs(self.data, &fallback, dirs, self.pol);
+        let upper = max_rank_regret(self.data, dirs, &fallback, self.pol).unwrap_or(0);
         search.offer(fallback, upper, 1);
     }
 
@@ -156,12 +157,12 @@ impl AsmsSearch<'_> {
     /// the *prefix* `dirs[..m/16]` of the discretization (a subset, so
     /// its probes are cheap and its answer fits `r`), then measure that
     /// answer's regret over the full frame for a sound upper bound.
-    /// Coarse probes never consume the deterministic probe budget; their
-    /// expanded nodes and prunes are merged into the main report.
-    fn coarse_incumbent(&self, dirs: &[Vec<f64>], search: &mut AnytimeSearch) {
+    /// The sub-search is unlimited, so the outcome depends only on the
+    /// rows, the options, `dirs` and `r` — never on the query's budget.
+    fn coarse_pass(&self, dirs: &[Vec<f64>]) -> CoarseOutcome {
         let mc = dirs.len() / COARSE_FRACTION;
         if mc < COARSE_MIN_DIRS {
-            return;
+            return CoarseOutcome::default();
         }
         let coarse = &dirs[..mc];
         let mut sub = AnytimeSearch::unlimited();
@@ -173,12 +174,14 @@ impl AsmsSearch<'_> {
             let (_, lists) = cache.as_ref().expect("coarse top-k cache just filled");
             Ok(self.probe(k, lists, lower, sub))
         });
-        search.report.nodes += sub.report.nodes;
-        search.report.pruned_probes += sub.report.pruned_probes;
-        let Ok(outcome) = outcome else { return };
-        if let Some((_, q)) = outcome.best {
-            let upper = regret_over_dirs(self.data, &q, dirs, self.pol);
-            search.offer(q, upper, 1);
+        let incumbent = outcome.ok().and_then(|o| o.best).map(|(_, q)| {
+            let upper = max_rank_regret(self.data, dirs, &q, self.pol).unwrap_or(0);
+            (q, upper)
+        });
+        CoarseOutcome {
+            incumbent,
+            nodes: sub.report.nodes,
+            pruned_probes: sub.report.pruned_probes,
         }
     }
 
@@ -213,18 +216,39 @@ impl AsmsSearch<'_> {
     }
 }
 
+/// What the coarse pass of one `(m, r)` query contributes to its search:
+/// the first incumbent and the sub-search's node accounting. Coarse
+/// probes never consume the deterministic probe budget; their nodes and
+/// prunes are merged into the main report.
+#[derive(Debug, Default)]
+struct CoarseOutcome {
+    /// The coarse answer and its regret over the full frame, when the
+    /// coarse frame was large enough to search.
+    incumbent: Option<(Vec<u32>, usize)>,
+    nodes: u64,
+    pruned_probes: u64,
+}
+
 /// HDRRM bound to one dataset and utility space: the prepare-once /
 /// query-many form of the paper's HD algorithm.
 ///
 /// Preparation computes the boundary-tuple basis `B` and the skyline
-/// candidate mask once. Discretized vector sets (keyed by their sample
-/// count `m`, which the Theorem 10 formula ties to the queried `r`) and
-/// top-k lists are cached across queries: a repeated query re-runs only
-/// the greedy covers, and the binary-search phases of *different* queries
-/// share one top-`k` computation through the ASMS prefix property.
+/// candidate mask once. Three caches then carry work across queries:
 ///
-/// The caches are keyed by deterministic seeds, so a warm handle answers
-/// exactly as a freshly prepared one.
+/// * discretized vector sets, keyed by their sample count `m` (which the
+///   Theorem 10 formula ties to the queried `r`);
+/// * top-k lists per `m`, at the deepest `k` probed so far — the
+///   binary-search phases of *different* queries share one top-`k`
+///   computation through the ASMS prefix property;
+/// * the coarse pass's outcome per `(m, r)`: its incumbent, that
+///   incumbent's full-frame regret, and its node and prune counts.
+///
+/// A repeated query therefore re-runs only the main search's greedy
+/// covers over cached lists (plus, under an active cutoff, the fallback
+/// incumbent's one regret measurement). The caches hold pure functions
+/// of the rows, the options and deterministic seeds, so a warm handle
+/// answers exactly as a freshly prepared one, down to the report's node
+/// and pruned-probe counts.
 pub struct PreparedHdrrm {
     data: Dataset,
     space: Box<dyn UtilitySpace>,
@@ -241,6 +265,8 @@ pub struct PreparedHdrrm {
     /// Per sample count `m`: the largest `k` computed so far and its
     /// top-k lists (every smaller threshold is a prefix).
     topk: Mutex<HashMap<usize, (usize, TopkLists)>>,
+    /// Per `(m, r)`: the coarse pass's outcome.
+    coarse: Mutex<HashMap<(usize, usize), Arc<CoarseOutcome>>>,
 }
 
 /// Shared top-k index lists, one per discretized direction.
@@ -271,6 +297,7 @@ impl PreparedHdrrm {
             mask,
             discs: Mutex::new(HashMap::new()),
             topk: Mutex::new(HashMap::new()),
+            coarse: Mutex::new(HashMap::new()),
         })
     }
 
@@ -295,7 +322,8 @@ impl PreparedHdrrm {
     ///   determinism contract makes the dot-product trigger exact).
     ///
     /// The basis is recomputed (`O(n·d)`, far below one direction's
-    /// re-score). Queries on the patched handle answer bit-identically to
+    /// re-score) and the coarse outcomes start empty (they depend on the
+    /// rows). Queries on the patched handle answer bit-identically to
     /// a freshly built [`PreparedHdrrm`] over the same rows.
     pub fn apply_update(&self, upd: &AppliedUpdate) -> Self {
         let data = upd.new.clone();
@@ -324,6 +352,7 @@ impl PreparedHdrrm {
             mask,
             discs: Mutex::new(discs),
             topk: Mutex::new(topk),
+            coarse: Mutex::new(HashMap::new()),
         }
     }
 
@@ -386,6 +415,23 @@ impl PreparedHdrrm {
         }
     }
 
+    /// The coarse pass's outcome for `(m, r)`, computed on first use.
+    fn coarse(&self, m: usize, env: &AsmsSearch, dirs: &[Vec<f64>]) -> Arc<CoarseOutcome> {
+        let key = (m, env.r);
+        if let Some(outcome) = self.coarse.lock().expect("coarse cache poisoned").get(&key) {
+            return outcome.clone();
+        }
+        // Computed outside the lock, like `disc`: racers duplicate
+        // deterministic work instead of serializing.
+        let outcome = Arc::new(env.coarse_pass(dirs));
+        cache_bounded(
+            &mut self.coarse.lock().expect("coarse cache poisoned"),
+            key,
+            outcome,
+            PREPARED_CACHE_CAP,
+        )
+    }
+
     /// The effective sample count for an RRM query: budget override, then
     /// option override, then the Theorem 10 formula.
     fn rrm_samples(&self, r: usize, budget: &Budget) -> usize {
@@ -426,7 +472,12 @@ impl PreparedHdrrm {
         if search.cutoff() != Cutoff::None {
             env.offer_fallback(&disc.dirs, &mut search);
         }
-        env.coarse_incumbent(&disc.dirs, &mut search);
+        let coarse = self.coarse(m, &env, &disc.dirs);
+        search.report.nodes += coarse.nodes;
+        search.report.pruned_probes += coarse.pruned_probes;
+        if let Some((q, upper)) = &coarse.incumbent {
+            search.offer(q.clone(), *upper, 1);
+        }
 
         let outcome = threshold_search(n, &mut search, |k, lower, search| {
             Ok(env.probe(k, &self.lists(m, k), lower, search))
@@ -545,10 +596,6 @@ mod tests {
         HdrrmOptions { m_override: Some(m), gamma: 4, ..Default::default() }
     }
 
-    fn regret_over_dirs(data: &Dataset, set: &[u32], dirs: &[Vec<f64>]) -> usize {
-        dirs.iter().map(|u| rrm_core::rank::rank_regret_of_set(data, u, set)).max().unwrap()
-    }
-
     #[test]
     fn certificate_holds_over_its_own_discretization() {
         let data = independent(600, 4, 21);
@@ -558,7 +605,8 @@ mod tests {
         let k = sol.certified_regret.unwrap();
         // Rebuild the same D (same seed/options) and verify ∇D(R) ≤ k.
         let disc = build_vector_set(4, &FullSpace::new(4), 400, opts.gamma, opts.seed);
-        let reg = regret_over_dirs(&data, &sol.indices, &disc.dirs);
+        let reg =
+            max_rank_regret(&data, &disc.dirs, &sol.indices, Parallelism::Sequential).unwrap();
         assert!(reg <= k, "certified {k}, measured over D {reg}");
     }
 
@@ -660,7 +708,10 @@ mod tests {
             // Verify over the same discretization it was built from.
             let m = opts.m_override.unwrap();
             let disc = build_vector_set(3, &FullSpace::new(3), m, opts.gamma, opts.seed);
-            assert!(regret_over_dirs(&data, &sol.indices, &disc.dirs) <= k);
+            assert!(
+                max_rank_regret(&data, &disc.dirs, &sol.indices, Parallelism::Sequential).unwrap()
+                    <= k
+            );
         }
         // Bigger threshold, same-or-smaller set.
         let small = hdrrr(&data, 2, &FullSpace::new(3), opts).unwrap().size();
@@ -723,6 +774,88 @@ mod tests {
             }
             data = upd.new.clone();
         }
+    }
+
+    /// The deterministic report counters a warm query must reproduce.
+    fn counters(sol: &Solution) -> (u64, u64) {
+        let report = sol.report.as_ref().expect("HDRRM attaches a search report");
+        (report.nodes, report.pruned_probes)
+    }
+
+    /// Every query on `warm` (in order, repeats included) equals the same
+    /// query on a freshly prepared handle over `data`, counters and all.
+    fn assert_warm_matches_fresh(
+        ctx: &str,
+        warm: &PreparedHdrrm,
+        data: &Dataset,
+        opts: HdrrmOptions,
+        budget: &Budget,
+        rs: &[usize],
+    ) {
+        let space = FullSpace::new(data.dim());
+        for &r in rs {
+            let fresh = hdrrm_budgeted(data, r, &space, opts, budget);
+            let got = warm.solve_rrm(r, budget).unwrap();
+            assert_eq!(got, fresh, "{ctx} r={r}");
+            assert_eq!(counters(&got), counters(&fresh), "{ctx} r={r}");
+        }
+    }
+
+    fn hdrrm_budgeted(
+        data: &Dataset,
+        r: usize,
+        space: &dyn UtilitySpace,
+        opts: HdrrmOptions,
+        budget: &Budget,
+    ) -> Solution {
+        PreparedHdrrm::new(data, space, opts).unwrap().solve_rrm(r, budget).unwrap()
+    }
+
+    #[test]
+    fn warm_coarse_cache_matches_a_fresh_handle() {
+        let data = anticorrelated(300, 3, 34);
+        let space = FullSpace::new(3);
+        let counter = Budget {
+            max_enumerations: Some(2),
+            cutoff: Cutoff::CounterBudget,
+            ..Budget::UNLIMITED
+        };
+        let cases = [
+            ("default options", HdrrmOptions::default(), Budget::UNLIMITED),
+            ("no pruning", HdrrmOptions { prune: false, ..Default::default() }, Budget::UNLIMITED),
+            ("samples override", HdrrmOptions::default(), Budget::with_samples(700)),
+            ("counter cutoff", HdrrmOptions::default(), counter),
+        ];
+        for (ctx, opts, budget) in cases {
+            let warm = PreparedHdrrm::new(&data, &space, opts).unwrap();
+            assert_warm_matches_fresh(ctx, &warm, &data, opts, &budget, &[6, 8, 6, 8, 6]);
+            // Two keys, both served from the cache on their repeats.
+            assert_eq!(warm.coarse.lock().unwrap().len(), 2, "{ctx}");
+            if ctx == "counter cutoff" {
+                let sol = warm.solve_rrm(6, &budget).unwrap();
+                assert_eq!(sol.terminated_by, TerminatedBy::Counter, "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn coarse_cache_starts_empty_after_an_update() {
+        use rrm_core::{apply_updates, UpdateOp};
+        let data = anticorrelated(300, 3, 35);
+        let space = FullSpace::new(3);
+        let (opts, budget) = (HdrrmOptions::default(), Budget::with_samples(700));
+        let warm = PreparedHdrrm::new(&data, &space, opts).unwrap();
+        assert_warm_matches_fresh("before", &warm, &data, opts, &budget, &[6, 8]);
+        let ops = vec![
+            UpdateOp::Delete(3),
+            UpdateOp::Delete(40),
+            UpdateOp::Insert(vec![0.9, 0.2, 0.4]),
+            UpdateOp::Insert(vec![0.1, 0.95, 0.3]),
+        ];
+        let upd = apply_updates(&data, &ops).unwrap();
+        let patched = warm.apply_update(&upd);
+        assert!(patched.coarse.lock().unwrap().is_empty());
+        assert_warm_matches_fresh("after", &patched, &upd.new, opts, &budget, &[6, 8, 6, 8]);
     }
 
     #[test]

@@ -11,12 +11,13 @@ use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rrm_core::rank::max_rank_regret;
 use rrm_core::{
     Algorithm, AnytimeSearch, Bounds, Dataset, ExecPolicy, Parallelism, RrmError, Solution,
     TerminatedBy, UtilitySpace,
 };
 
-use crate::anytime::{regret_over_dirs, threshold_search, uniform_top_set, ThresholdOutcome};
+use crate::anytime::{threshold_search, uniform_top_set, ThresholdOutcome};
 use crate::common::batch_topk;
 use crate::mdrrr::hit_ksets_capped;
 
@@ -95,7 +96,7 @@ impl SampledSearch<'_> {
     /// measured regret over the full sampled pool as the upper bound.
     pub(crate) fn offer_fallback(&self, dirs: &[Vec<f64>], search: &mut AnytimeSearch) {
         let fallback = uniform_top_set(self.data, &[], self.r);
-        let upper = regret_over_dirs(self.data, &fallback, dirs, self.pol);
+        let upper = max_rank_regret(self.data, dirs, &fallback, self.pol).unwrap_or(0);
         search.offer(fallback, upper, 1);
     }
 
@@ -119,7 +120,7 @@ impl SampledSearch<'_> {
         search.report.pruned_probes += sub.report.pruned_probes;
         let Ok(outcome) = outcome else { return };
         if let Some((_, ids)) = outcome.best {
-            let upper = regret_over_dirs(self.data, &ids, dirs, self.pol);
+            let upper = max_rank_regret(self.data, dirs, &ids, self.pol).unwrap_or(0);
             search.offer(ids, upper, 1);
         }
     }

@@ -15,7 +15,8 @@
 //! `scale` sweeps the parallel runtime over thread counts {1,2,4,8},
 //! asserts bit-identical solutions, and writes per-algorithm speedups to
 //! `BENCH_parallel.json`; `kernels` microbenchmarks naive vs. blocked SoA
-//! scoring throughput on one thread and writes `BENCH_kernels.json` — the
+//! scoring throughput and top-k selection vs. a full argsort on one
+//! thread, both behind bit-parity gates, and writes `BENCH_kernels.json` — the
 //! one bench whose headline number is meaningful on a 1-core machine;
 //! `serve` load-tests the `rrm_serve` query service over real TCP with a
 //! replayed multi-tenant trace — single-tenant hot, mixed, and overload
@@ -1061,7 +1062,8 @@ fn thread_scaling(scale: Scale) {
 /// measurable even in a 1-core container. For each (n, d) the same
 /// direction batch is scored by the row-major scalar reference and by the
 /// cache-blocked SoA kernel; both must agree bit-for-bit before timing
-/// counts. Writes `BENCH_kernels.json`.
+/// counts. Then [`topk_selection`] times the top-k kernel. Writes
+/// `BENCH_kernels.json`.
 fn kernels(scale: Scale) {
     use rrm_core::kernel::{self, ScoreScratch};
     use rrm_core::utility::dot;
@@ -1154,6 +1156,8 @@ fn kernels(scale: Scale) {
         }
     }
 
+    let topk = topk_selection(reps);
+
     // Hand-rolled JSON (no serde in the offline container).
     let mut json =
         format!("{{{},\"threads\":1,\"entries\":[\n", bench::bench_meta("scoring_kernels"));
@@ -1175,7 +1179,97 @@ fn kernels(scale: Scale) {
             e.naive_seconds / e.blocked_seconds.max(1e-12),
         ));
     }
+    json.push_str("],\"topk\":[\n");
+    for (i, e) in topk.iter().enumerate() {
+        let sep = if i + 1 == topk.len() { "" } else { "," };
+        json.push_str(&format!(
+            "  {{\"n\":{},\"k\":{},\"dirs\":{},\
+             \"argsort_seconds\":{:.6},\"select_seconds\":{:.6},\"speedup\":{:.3}}}{sep}\n",
+            e.n,
+            e.k,
+            e.dirs,
+            e.argsort_seconds,
+            e.select_seconds,
+            e.argsort_seconds / e.select_seconds.max(1e-12),
+        ));
+    }
     json.push_str("]}\n");
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
     println!("wrote BENCH_kernels.json (throughput in tuple*direction scores per second)");
+}
+
+/// One row of the top-k selection benchmark.
+struct TopkEntry {
+    n: usize,
+    k: usize,
+    dirs: usize,
+    argsort_seconds: f64,
+    select_seconds: f64,
+}
+
+/// Single-thread top-k selection (`rank::top_k_into`) against the full
+/// `argsort_desc` reference, over precomputed score vectors (d = 4, 64
+/// directions). Before any timing counts, every selected list must equal
+/// the reference prefix bit for bit: same indices in the same order, ties
+/// broken by index.
+fn topk_selection(reps: usize) -> Vec<TopkEntry> {
+    use rrm_core::rank::{argsort_desc, top_k_into, TopKScratch};
+
+    let n_dirs = 64usize;
+    let mut entries = Vec::new();
+    println!("single-thread top-k selection, best of {reps} reps, {n_dirs} directions, d=4");
+    println!("{:>8} {:>4} {:>14} {:>14} {:>8}", "n", "k", "argsort (ms)", "select (ms)", "speedup");
+    for n in [1_000usize, 10_000] {
+        let data = rrm_data::synthetic::independent(n, 4, 43);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(44);
+        let space = FullSpace::new(4);
+        let scores: Vec<Vec<f64>> = (0..n_dirs)
+            .map(|_| rrm_core::utility::utilities(&data, &space.sample_direction(&mut rng)))
+            .collect();
+        let reference: Vec<Vec<u32>> = scores.iter().map(|s| argsort_desc(s)).collect();
+        let argsort_seconds = (0..reps)
+            .map(|_| {
+                timed(|| {
+                    std::hint::black_box(scores.iter().map(|s| argsort_desc(s)[0]).sum::<u32>())
+                })
+                .1
+            })
+            .fold(f64::INFINITY, f64::min);
+        let mut scratch = TopKScratch::new();
+        let mut out = Vec::new();
+        for k in [1usize, 8, 64, 256] {
+            // Parity gate: the selection is the reference prefix.
+            for (di, (s, want)) in scores.iter().zip(&reference).enumerate() {
+                top_k_into(s, k, &mut scratch, &mut out);
+                assert_eq!(
+                    out.as_slice(),
+                    &want[..k],
+                    "top-k parity violation at n={n} k={k} dir={di}"
+                );
+            }
+            let select_seconds = (0..reps)
+                .map(|_| {
+                    timed(|| {
+                        let mut sink = 0u32;
+                        for s in &scores {
+                            top_k_into(s, k, &mut scratch, &mut out);
+                            sink = sink.wrapping_add(out[k - 1]);
+                        }
+                        std::hint::black_box(sink)
+                    })
+                    .1
+                })
+                .fold(f64::INFINITY, f64::min);
+            println!(
+                "{:>8} {:>4} {:>14.3} {:>14.3} {:>7.2}x",
+                n,
+                k,
+                argsort_seconds * 1e3,
+                select_seconds * 1e3,
+                argsort_seconds / select_seconds.max(1e-12),
+            );
+            entries.push(TopkEntry { n, k, dirs: n_dirs, argsort_seconds, select_seconds });
+        }
+    }
+    entries
 }

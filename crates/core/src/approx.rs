@@ -159,7 +159,7 @@ pub fn per_direction_top(
     let chunk = rrm_par::adaptive_chunk(dirs.len(), data.n() * data.dim());
     let per_chunk = rrm_par::par_chunks(dirs, chunk, pol, |_, chunk_dirs| {
         let mut scores: Vec<f64> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
+        let mut scratch = rank::TopKScratch::new();
         let mut out = Vec::with_capacity(chunk_dirs.len());
         for u in chunk_dirs {
             kernel::scores_into(soa, u, &mut scores);

@@ -273,15 +273,19 @@ pub fn count_outranking(
     best_index: u32,
     scratch: &mut ScoreScratch,
 ) -> usize {
+    // A tuple before `best_index` outranks it on a tie too, one after it
+    // only when strictly above: two branch-free counts, split at the
+    // index instead of comparing indices per tuple.
+    let split = (best_index as usize).min(soa.n);
     let mut above = 0usize;
     let mut i0 = 0;
     while i0 < soa.n {
         let i1 = (i0 + TUPLE_TILE).min(soa.n);
         scratch.tile.resize(i1 - i0, 0.0);
         score_range_into(soa, u, i0, &mut scratch.tile[..i1 - i0]);
-        for (off, &s) in scratch.tile[..i1 - i0].iter().enumerate() {
-            above += outranks(s, (i0 + off) as u32, best_score, best_index) as usize;
-        }
+        let (before, after) = scratch.tile[..i1 - i0].split_at(split.clamp(i0, i1) - i0);
+        above += before.iter().filter(|&&s| s >= best_score).count();
+        above += after.iter().filter(|&&s| s > best_score).count();
         i0 = i1;
     }
     above
@@ -428,6 +432,27 @@ mod tests {
                 rank_regret_of_set(soa, &u, &set, &mut scratch),
                 crate::rank::rank_regret_from_scores(&scores, &set)
             );
+        }
+    }
+
+    #[test]
+    fn count_outranking_breaks_ties_by_index_across_tiles() {
+        // Few distinct rows, so most scores tie; n spans three tiles.
+        let n = 2 * TUPLE_TILE + 300;
+        let values: Vec<f64> = (0..n * 2).map(|i| ((i * 7) % 5) as f64 * 0.25).collect();
+        let data = Dataset::from_flat(2, values).unwrap();
+        let mut scratch = ScoreScratch::new();
+        for u in [[0.5, 0.5], [1.0, 0.0], [0.3, 0.7]] {
+            let scores = naive_scores(&data, &u);
+            for best in [0, 1, TUPLE_TILE - 1, TUPLE_TILE, TUPLE_TILE + 1, 2 * TUPLE_TILE, n - 1] {
+                let (bs, bi) = (scores[best], best as u32);
+                let naive = (0..n).filter(|&j| outranks(scores[j], j as u32, bs, bi)).count();
+                assert_eq!(
+                    count_outranking(data.soa(), &u, bs, bi, &mut scratch),
+                    naive,
+                    "u={u:?} best={best}"
+                );
+            }
         }
     }
 

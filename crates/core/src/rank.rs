@@ -137,40 +137,99 @@ pub struct TopK {
 
 /// Compute `Φk` (the top-k tuple indices, best first) and `w_k`.
 ///
-/// `k` is clamped to `scores.len()`. Runs in `O(n + k log k)` via
-/// quickselect plus a sort of the selected prefix.
+/// `k` is clamped to `scores.len()`. One-shot convenience over
+/// [`top_k_into`]; costs `O(n + k log k)` as described there.
 pub fn top_k(scores: &[f64], k: usize) -> TopK {
     let mut out = Vec::new();
-    let mut scratch = Vec::new();
-    top_k_into(scores, k, &mut scratch, &mut out);
+    top_k_into(scores, k, &mut TopKScratch::new(), &mut out);
     let threshold = scores[*out.last().expect("k >= 1") as usize];
     TopK { indices: out, threshold }
 }
 
+/// Caller-owned working storage for [`top_k_into`]. Hold one per worker
+/// (or per chunk) and reuse it across directions: after the first call
+/// the selection runs without allocating.
+#[derive(Debug, Default)]
+pub struct TopKScratch {
+    /// Contiguous copy of the scores, reordered by the value selection.
+    values: Vec<f64>,
+    /// The kept `(score, index)` pairs, sorted into the final order.
+    kept: Vec<(f64, u32)>,
+}
+
+impl TopKScratch {
+    /// A fresh scratch; buffers grow on first use and are then reused.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 /// Buffer-reusing form of [`top_k`]: fills `out` with the top-k indices
-/// (best first) using `scratch` as working storage.
-pub fn top_k_into(scores: &[f64], k: usize, scratch: &mut Vec<u32>, out: &mut Vec<u32>) {
+/// (best first, ties by ascending index) using `scratch` as working
+/// storage.
+///
+/// Selects on values, not indices: the k-th largest score `w` is found by
+/// quickselect over a contiguous copy of `scores` (`O(n)`, no indirect
+/// loads), one ascending pass keeps every index scoring strictly above
+/// `w` plus the lowest-indexed ties at `w` until `k` are kept (`O(n)`),
+/// and only those `k` pairs are sorted (`O(k log k)`). `k = 1` is a
+/// single argmax pass. The output is exactly the first `k` entries of
+/// [`argsort_desc`].
+///
+/// # Panics
+///
+/// When `scores` is empty, `k == 0`, or any score is NaN.
+pub fn top_k_into(scores: &[f64], k: usize, scratch: &mut TopKScratch, out: &mut Vec<u32>) {
     let n = scores.len();
     assert!(n > 0, "top-k of an empty score vector");
     assert!(k > 0, "k must be at least 1");
     let k = k.min(n);
-
-    scratch.clear();
-    scratch.extend(0..n as u32);
-    let cmp = |&a: &u32, &b: &u32| {
-        // Descending by score, ascending by index: strict total order.
-        scores[b as usize]
-            .partial_cmp(&scores[a as usize])
-            .expect("scores must be finite")
-            .then(a.cmp(&b))
-    };
-    if k < n {
-        scratch.select_nth_unstable_by(k - 1, cmp);
-        scratch.truncate(k);
-    }
-    scratch.sort_unstable_by(cmp);
     out.clear();
-    out.extend_from_slice(scratch);
+    if k == 1 {
+        // The first maximum: one pass, nothing to copy or sort.
+        let (mut best, mut best_score) = (0usize, scores[0]);
+        for (i, &s) in scores.iter().enumerate() {
+            assert!(!s.is_nan(), "scores must be finite");
+            if s > best_score {
+                (best, best_score) = (i, s);
+            }
+        }
+        out.push(best as u32);
+        return;
+    }
+
+    // The k-th largest value. Equal values (including 0.0 and -0.0) are
+    // interchangeable here: only the value `w` is used below.
+    let values = &mut scratch.values;
+    values.clear();
+    values.extend_from_slice(scores);
+    let (above_w, &mut w, _) = values
+        .select_nth_unstable_by(k - 1, |a, b| b.partial_cmp(a).expect("scores must be finite"));
+    // Everything before the pivot scores >= w, and every score above w
+    // lies there; the `k - above` lowest-indexed ties at w complete the
+    // top-k.
+    let above = above_w.iter().filter(|&&v| v > w).count();
+    let mut ties_left = k - above;
+
+    let kept = &mut scratch.kept;
+    kept.clear();
+    for (i, &s) in scores.iter().enumerate() {
+        if s > w {
+            kept.push((s, i as u32));
+        } else if s == w {
+            if ties_left > 0 {
+                ties_left -= 1;
+                kept.push((s, i as u32));
+            }
+        } else {
+            assert!(!s.is_nan(), "scores must be finite");
+        }
+    }
+    assert!(kept.len() == k, "scores must be finite");
+    // Descending by score, ascending by index: strict total order (no
+    // NaN can reach here).
+    kept.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
+    out.extend(kept.iter().map(|&(_, i)| i));
 }
 
 /// `w_k(u, D)`: the k-th highest score.
@@ -193,6 +252,7 @@ pub fn argsort_desc(scores: &[f64]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ranks_with_distinct_scores() {
@@ -237,6 +297,46 @@ mod tests {
         assert_eq!(tk.threshold, 0.5);
         let full = top_k(&scores, 6);
         assert_eq!(full.indices, argsort_desc(&scores));
+    }
+
+    /// A small value set: ties are common, and `0.0`/`-0.0` compare equal
+    /// (so they tie and fall back to index order).
+    const TIE_VALUES: [f64; 8] =
+        [-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, f64::INFINITY, f64::NEG_INFINITY];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The select-and-filter kernel is exactly the `argsort_desc`
+        /// prefix, including every tie broken by index and `k > n`.
+        #[test]
+        fn top_k_into_is_the_argsort_prefix(
+            (picks, k) in (1usize..300).prop_flat_map(|n| {
+                (proptest::collection::vec(0..TIE_VALUES.len(), n), 1..=n + 2)
+            })
+        ) {
+            let scores: Vec<f64> = picks.iter().map(|&p| TIE_VALUES[p]).collect();
+            let want = &argsort_desc(&scores)[..k.min(scores.len())];
+            let mut scratch = TopKScratch::new();
+            let mut out = vec![7u32; 3]; // stale contents must be replaced
+            top_k_into(&scores, k, &mut scratch, &mut out);
+            prop_assert_eq!(out.as_slice(), want);
+            // A reused scratch gives the same answer again.
+            top_k_into(&scores, k, &mut scratch, &mut out);
+            prop_assert_eq!(out.as_slice(), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scores must be finite")]
+    fn top_k_rejects_nan() {
+        top_k(&[0.5, f64::NAN, 0.25, 1.0], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "scores must be finite")]
+    fn top_k_rejects_a_lone_nan() {
+        top_k(&[f64::NAN], 1);
     }
 
     #[test]

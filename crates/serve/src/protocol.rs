@@ -111,6 +111,10 @@ pub enum ErrorKind {
     Unsupported,
     /// Any other solver-side failure.
     SolverError,
+    /// The server failed while answering (a solver panic, caught so the
+    /// worker survives). The request may be retried, but will most
+    /// likely fail the same way.
+    Internal,
 }
 
 impl ErrorKind {
@@ -122,6 +126,7 @@ impl ErrorKind {
             ErrorKind::DeadlineExceeded => "deadline_exceeded",
             ErrorKind::Unsupported => "unsupported",
             ErrorKind::SolverError => "solver_error",
+            ErrorKind::Internal => "internal",
         }
     }
 

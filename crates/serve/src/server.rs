@@ -195,10 +195,32 @@ impl ConnWriter {
     }
 }
 
-/// An admitted query waiting for a worker.
+/// One reserved in-flight slot of a tenant. Dropping it frees the slot,
+/// so every way out of admission or service — a rejection, a reply, or a
+/// panic unwinding a worker — gives the slot back.
+struct InflightSlot {
+    tenant: Arc<Tenant>,
+}
+
+impl InflightSlot {
+    /// Reserve a slot, or `None` when the tenant is at its limit.
+    fn acquire(tenant: &Arc<Tenant>) -> Option<InflightSlot> {
+        let prev = tenant.inflight.fetch_add(1, Ordering::AcqRel);
+        let slot = InflightSlot { tenant: Arc::clone(tenant) };
+        (prev < tenant.max_inflight).then_some(slot)
+    }
+}
+
+impl Drop for InflightSlot {
+    fn drop(&mut self) {
+        self.tenant.inflight.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// An admitted query waiting for a worker; it holds its tenant's slot.
 struct Job {
     wire: WireRequest,
-    tenant: Arc<Tenant>,
+    slot: InflightSlot,
     accepted_at: Instant,
     writer: Arc<ConnWriter>,
 }
@@ -470,9 +492,7 @@ fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: &str) {
     }
 
     // Per-tenant admission: reserve an in-flight slot or reject now.
-    let prev = tenant.inflight.fetch_add(1, Ordering::AcqRel);
-    if prev >= tenant.max_inflight {
-        tenant.inflight.fetch_sub(1, Ordering::AcqRel);
+    let Some(slot) = InflightSlot::acquire(tenant) else {
         tenant.counters.rejected_overload.fetch_add(1, Ordering::Relaxed);
         writer.send(&error_response(
             &wire.id,
@@ -481,20 +501,15 @@ fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: &str) {
             Some(Json::Obj(vec![("max_inflight".into(), tenant.max_inflight.into())])),
         ));
         return;
-    }
+    };
 
     // Global queue cap: bounded queueing, never unbounded buildup.
-    let job = Job {
-        wire,
-        tenant: Arc::clone(tenant),
-        accepted_at: Instant::now(),
-        writer: Arc::clone(writer),
-    };
+    let job = Job { wire, slot, accepted_at: Instant::now(), writer: Arc::clone(writer) };
     let mut queue = shared.queue.lock().unwrap();
     if queue.len() >= shared.queue_cap {
         drop(queue);
-        job.tenant.inflight.fetch_sub(1, Ordering::AcqRel);
-        job.tenant.counters.rejected_overload.fetch_add(1, Ordering::Relaxed);
+        drop(job.slot);
+        tenant.counters.rejected_overload.fetch_add(1, Ordering::Relaxed);
         job.writer.send(&error_response(
             &job.wire.id,
             ErrorKind::Overloaded,
@@ -532,79 +547,32 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Why a query got no answer: wire error kind, message, diagnostics.
+type Failure = (ErrorKind, String, Option<Json>);
+
+/// Run `solve`, turning a panic inside it into an `internal` failure:
+/// the client gets a reply and the worker thread lives on to serve the
+/// next job.
+fn guarded<T>(solve: impl FnOnce() -> Result<T, Failure>) -> Result<T, Failure> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)).unwrap_or_else(|payload| {
+        let what = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        Err((ErrorKind::Internal, format!("panicked while answering: {what}"), None))
+    })
+}
+
 fn serve_job(shared: &Shared, job: Job) {
     let queued_us = job.accepted_at.elapsed().as_micros() as u64;
-    let tenant = &job.tenant;
-    let (n_tuples, dims) = {
-        let data = tenant.session.data();
-        (data.n(), data.dim())
-    };
-    let aged_out = job.wire.deadline_ms.is_some_and(|ms| queued_us >= ms.saturating_mul(1000));
-    let mut request = effective_request(&job.wire, shared.calibration, n_tuples, dims)
-        .expect("only query ops are enqueued");
-    let cuttable = request.resolved_algorithm(dims).is_cuttable();
+    let tenant = Arc::clone(&job.slot.tenant);
+    let outcome = guarded(|| solve_job(shared, &job.wire, &tenant, queued_us));
 
-    let outcome = if aged_out && !cuttable {
-        let ms = job.wire.deadline_ms.expect("aged_out implies a deadline");
-        Err((
-            ErrorKind::DeadlineExceeded,
-            format!("deadline of {ms}ms elapsed after {queued_us}us in queue"),
-            Some(Json::Obj(vec![
-                ("queued_micros".into(), queued_us.into()),
-                ("deadline_ms".into(), ms.into()),
-            ])),
-        ))
-    } else {
-        if aged_out {
-            // The whole deadline was burned queueing. The anytime solver
-            // still runs, under an already-expired cutoff: it offers its
-            // deterministic fallback incumbent, stops at the first
-            // cutoff check, and the tenant gets best-so-far + gap
-            // instead of a deadline_exceeded error.
-            request.budget.cutoff = Cutoff::TimeBudget(Duration::ZERO);
-        }
-        // Deadline-free requests are deterministic: same wire fields on
-        // the same epoch → the same answer, so they are served from the
-        // tenant's budget-keyed cache when possible. Deadline-bearing
-        // requests never touch the cache (their budgets are wall-clock).
-        let cache_key = job.wire.deadline_ms.is_none().then(|| {
-            let minimize = matches!(job.wire.op, Op::Minimize { .. });
-            let param = match job.wire.op {
-                Op::Minimize { param } | Op::Represent { param } => param,
-                _ => unreachable!("only query ops are enqueued"),
-            };
-            (
-                minimize,
-                param,
-                job.wire.algo,
-                job.wire.samples,
-                job.wire.gap.map(f64::to_bits),
-                job.wire.approx.map(|s| (s.eps.to_bits(), s.delta.to_bits())),
-            )
-        });
-        let epoch = tenant.session.epoch();
-        let cached = cache_key.as_ref().and_then(|key| tenant.cache.get(key, epoch));
-        match cached {
-            Some(solution) => Ok(rank_regret::Response { request, solution, seconds: 0.0 }),
-            None => {
-                let outcome = tenant
-                    .session
-                    .run(&request)
-                    .map_err(|e| (ErrorKind::of_rrm_error(&e), e.to_string(), None));
-                if let (Some(key), Ok(response)) = (cache_key, &outcome) {
-                    // Only cache when no swap raced the solve: the entry's
-                    // epoch tag must describe the rows that answered.
-                    if tenant.session.epoch() == epoch {
-                        tenant.cache.put(key, epoch, response.solution.clone());
-                    }
-                }
-                outcome
-            }
-        }
-    };
-
-    // Counters update *before* the response goes out: a client that saw
-    // an answer and immediately asks for `stats` must see it counted.
+    // Counters update and the slot frees *before* the response goes out:
+    // a client that saw an answer and immediately asks for `stats` must
+    // see it counted and no longer in flight.
+    drop(job.slot);
     match outcome {
         Ok(response) => {
             tenant.counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -628,14 +596,116 @@ fn serve_job(shared: &Shared, job: Job) {
             job.writer.send(&error_response(&job.wire.id, kind, &message, diagnostics));
         }
     }
-    tenant.inflight.fetch_sub(1, Ordering::AcqRel);
+}
+
+/// Answer one admitted query: dispatch-time deadline aging, the result
+/// cache, then the solve.
+fn solve_job(
+    shared: &Shared,
+    wire: &WireRequest,
+    tenant: &Tenant,
+    queued_us: u64,
+) -> Result<rank_regret::Response, Failure> {
+    let (n_tuples, dims) = {
+        let data = tenant.session.data();
+        (data.n(), data.dim())
+    };
+    let aged_out = wire.deadline_ms.is_some_and(|ms| queued_us >= ms.saturating_mul(1000));
+    let mut request = effective_request(wire, shared.calibration, n_tuples, dims)
+        .expect("only query ops are enqueued");
+    let cuttable = request.resolved_algorithm(dims).is_cuttable();
+
+    if aged_out && !cuttable {
+        let ms = wire.deadline_ms.expect("aged_out implies a deadline");
+        Err((
+            ErrorKind::DeadlineExceeded,
+            format!("deadline of {ms}ms elapsed after {queued_us}us in queue"),
+            Some(Json::Obj(vec![
+                ("queued_micros".into(), queued_us.into()),
+                ("deadline_ms".into(), ms.into()),
+            ])),
+        ))
+    } else {
+        if aged_out {
+            // The whole deadline was burned queueing. The anytime solver
+            // still runs, under an already-expired cutoff: it offers its
+            // deterministic fallback incumbent, stops at the first
+            // cutoff check, and the tenant gets best-so-far + gap
+            // instead of a deadline_exceeded error.
+            request.budget.cutoff = Cutoff::TimeBudget(Duration::ZERO);
+        }
+        // Deadline-free requests are deterministic: same wire fields on
+        // the same epoch → the same answer, so they are served from the
+        // tenant's budget-keyed cache when possible. Deadline-bearing
+        // requests never touch the cache (their budgets are wall-clock).
+        let cache_key = wire.deadline_ms.is_none().then(|| {
+            let minimize = matches!(wire.op, Op::Minimize { .. });
+            let param = match wire.op {
+                Op::Minimize { param } | Op::Represent { param } => param,
+                _ => unreachable!("only query ops are enqueued"),
+            };
+            (
+                minimize,
+                param,
+                wire.algo,
+                wire.samples,
+                wire.gap.map(f64::to_bits),
+                wire.approx.map(|s| (s.eps.to_bits(), s.delta.to_bits())),
+            )
+        });
+        let epoch = tenant.session.epoch();
+        let cached = cache_key.as_ref().and_then(|key| tenant.cache.get(key, epoch));
+        match cached {
+            Some(solution) => Ok(rank_regret::Response { request, solution, seconds: 0.0 }),
+            None => {
+                let outcome = tenant
+                    .session
+                    .run(&request)
+                    .map_err(|e| (ErrorKind::of_rrm_error(&e), e.to_string(), None));
+                if let (Some(key), Ok(response)) = (cache_key, &outcome) {
+                    // Only cache when no swap raced the solve: the entry's
+                    // epoch tag must describe the rows that answered.
+                    if tenant.session.epoch() == epoch {
+                        tenant.cache.put(key, epoch, response.solution.clone());
+                    }
+                }
+                outcome
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::SyntheticKind;
 
     const CALIB: Calibration = Calibration { scores_per_ms: 1000.0 };
+
+    #[test]
+    fn a_panic_inside_the_guard_becomes_an_internal_failure() {
+        let (kind, message, _) = guarded(|| -> Result<(), Failure> { panic!("boom {}", 7) })
+            .expect_err("the panic is caught");
+        assert_eq!(kind, ErrorKind::Internal);
+        assert!(message.contains("boom 7"), "{message}");
+        assert_eq!(guarded(|| Ok::<_, Failure>(3)).ok(), Some(3));
+    }
+
+    #[test]
+    fn an_inflight_slot_frees_when_a_panic_unwinds_past_it() {
+        let spec = TenantSpec::synthetic("t", SyntheticKind::Independent, 20, 2, 1).max_inflight(1);
+        let registry = Registry::build(&[spec], &[], ExecPolicy::sequential()).unwrap();
+        let tenant = registry.get("t").unwrap();
+        let held = InflightSlot::acquire(tenant).expect("a free slot");
+        assert!(InflightSlot::acquire(tenant).is_none(), "the cap is one");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _held = held;
+            panic!("unwind past the slot");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(tenant.inflight.load(Ordering::Acquire), 0);
+        assert!(InflightSlot::acquire(tenant).is_some());
+    }
 
     #[test]
     fn budget_scales_with_deadline_and_dataset_size() {

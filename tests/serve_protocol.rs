@@ -222,6 +222,49 @@ fn per_tenant_inflight_cap_rejects_immediately() {
 }
 
 #[test]
+fn a_panicking_solve_answers_internal_and_frees_its_slot() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    // One worker and one in-flight slot: a panic that killed the worker
+    // would leave every later query unanswered, and a leaked slot would
+    // reject every later query as overloaded.
+    let specs = [small_tenant("t").max_inflight(1)];
+    let server = ServerHandle::start(test_config(), &specs).expect("start");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut call = |line: &str| -> Json {
+        writer.write_all(format!("{line}\n").as_bytes()).expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("a reply before the read timeout");
+        rrm_serve::json::parse(reply.trim()).expect("a JSON reply")
+    };
+
+    // MDRRRr over zero sampled directions has no k-sets to hit, and the
+    // solver panics on the empty family.
+    let resp =
+        call(r#"{"op":"minimize","tenant":"t","param":3,"algo":"mdrrr-r","samples":0,"id":1}"#);
+    assert_eq!(str_field(&resp, "status"), "error", "{resp:?}");
+    assert_eq!(str_field(&resp, "error"), "internal", "{resp:?}");
+    assert_eq!(resp.get("id").and_then(Json::as_usize), Some(1));
+
+    let resp = call(r#"{"op":"stats","id":2}"#);
+    let tenant =
+        resp.get("stats").and_then(|s| s.get("tenants")).and_then(|t| t.get("t")).expect("stats");
+    assert_eq!(tenant.get("inflight").and_then(Json::as_usize), Some(0));
+    assert_eq!(tenant.get("errored").and_then(Json::as_usize), Some(1));
+
+    // The same worker, and the freed slot, serve the next query.
+    let resp =
+        call(r#"{"op":"minimize","tenant":"t","param":5,"algo":"hdrrm","samples":64,"id":3}"#);
+    assert_eq!(str_field(&resp, "status"), "ok", "{resp:?}");
+    server.shutdown();
+}
+
+#[test]
 fn global_queue_cap_rejects_across_tenants() {
     let config = ServerConfig { workers: 0, queue_cap: 1, ..test_config() };
     let specs = [small_tenant("a").max_inflight(8), small_tenant("b").max_inflight(8)];
